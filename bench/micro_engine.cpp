@@ -32,7 +32,6 @@
 
 #include "runtime/engine.h"
 #include "runtime/result_sink.h"
-#include "runtime/task_pool.h"
 
 namespace {
 
@@ -104,17 +103,12 @@ struct ReorderProbe {
   std::size_t block = 0;
   std::size_t cases = 0;
   double cases_per_s = 0.0;
-  runtime::ResultSink::ReorderStats stats;
 };
 
-// Forces the reorder buffer to do real work: cases are pushed in
+// Forces the reorder window to do real work: cases are pushed in
 // block-reversed order (each kBlock-sized block back to front), so the
 // drainer must park kBlock-1 records before the block's first index
-// arrives and unblocks emission. Because the drainer pops pushes in
-// order, the pending high-water mark is exactly kBlock-1 — and the
-// blocks after the first should be served almost entirely from the
-// slab arena's free list (the previous block's nodes), which is what
-// the slab_* stats in BENCH_engine.json pin.
+// arrives and unblocks emission of the whole block.
 ReorderProbe measure_reorder(std::size_t cases) {
   constexpr std::size_t kBlock = 4096;
   NullBuf buf;
@@ -141,13 +135,6 @@ ReorderProbe measure_reorder(std::size_t cases) {
   probe.cases = cases;
   probe.cases_per_s = static_cast<double>(cases) /
                       std::chrono::duration<double>(t1 - t0).count();
-  probe.stats = sink.reorder_stats();
-  if (probe.stats.peak_pending + 1 < std::min(kBlock, cases)) {
-    std::fprintf(stderr,
-                 "micro_engine: reorder peak %zu below the forced window\n",
-                 probe.stats.peak_pending);
-    std::exit(1);
-  }
   return probe;
 }
 
@@ -202,7 +189,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t hw = runtime::TaskPool::hardware_threads();
+  const std::size_t hw = runtime::hardware_threads();
   std::vector<std::size_t> thread_counts;
   for (std::size_t t = 1; t <= hw; t *= 2) thread_counts.push_back(t);
   if (thread_counts.back() != hw) thread_counts.push_back(hw);
@@ -212,12 +199,8 @@ int main(int argc, char** argv) {
               opt.push_samples, push.p50_ns, push.p99_ns);
 
   const ReorderProbe reorder = measure_reorder(opt.cases);
-  std::printf(
-      "reorder probe (block %zu): %12.0f cases/s, peak pending %zu, "
-      "slab %zu chunk(s) / %zu KiB, %zu acquires, %zu freelist hits\n",
-      reorder.block, reorder.cases_per_s, reorder.stats.peak_pending,
-      reorder.stats.slab.chunks, reorder.stats.slab.reserved_bytes / 1024,
-      reorder.stats.slab.acquires, reorder.stats.slab.freelist_hits);
+  std::printf("reorder probe (block %zu): %12.0f cases/s\n", reorder.block,
+              reorder.cases_per_s);
 
   std::vector<double> cases_per_s(thread_counts.size(), 0.0);
   for (std::size_t k = 0; k < thread_counts.size(); ++k) {
@@ -257,18 +240,10 @@ int main(int argc, char** argv) {
                "  \"reorder\": {\n"
                "    \"block\": %zu,\n"
                "    \"cases\": %zu,\n"
-               "    \"cases_per_s\": %.1f,\n"
-               "    \"peak_pending\": %zu,\n"
-               "    \"slab_chunks\": %zu,\n"
-               "    \"slab_reserved_bytes\": %zu,\n"
-               "    \"slab_acquires\": %zu,\n"
-               "    \"slab_freelist_hits\": %zu\n"
+               "    \"cases_per_s\": %.1f\n"
                "  }\n"
                "}\n",
-               speedup, reorder.block, reorder.cases, reorder.cases_per_s,
-               reorder.stats.peak_pending, reorder.stats.slab.chunks,
-               reorder.stats.slab.reserved_bytes, reorder.stats.slab.acquires,
-               reorder.stats.slab.freelist_hits);
+               speedup, reorder.block, reorder.cases, reorder.cases_per_s);
   std::fclose(f);
   std::printf("wrote %s\n", path);
   return 0;

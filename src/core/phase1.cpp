@@ -29,21 +29,6 @@ std::vector<packet::ConstByteSpan> all_y_contents(
   return gf::encode(m, x_payloads, payload_size, arena);
 }
 
-std::vector<packet::Payload> all_y_contents(
-    const YPool& pool, std::span<const packet::Payload> x_payloads,
-    std::size_t payload_size) {
-  if (x_payloads.size() != pool.universe())
-    throw std::invalid_argument("all_y_contents: payload count != universe");
-  std::vector<packet::Payload> out(pool.size());
-  for (packet::Payload& p : out) p.assign(payload_size, 0);
-  if (payload_size == 0) return out;
-  const std::vector<packet::ConstByteSpan> ins(x_payloads.begin(),
-                                               x_payloads.end());
-  std::vector<packet::ByteSpan> outs(out.begin(), out.end());
-  gf::encode(pool.rows(), ins, outs, payload_size);
-  return out;
-}
-
 std::vector<packet::ConstByteSpan> reconstruct_y(
     const YPool& pool, packet::NodeId terminal,
     std::span<const packet::ConstByteSpan> x_payloads,
@@ -73,35 +58,6 @@ std::vector<packet::ConstByteSpan> reconstruct_y(
     }
     batch.flush();
     out[j] = y;
-  }
-  return out;
-}
-
-std::vector<std::optional<packet::Payload>> reconstruct_y(
-    const YPool& pool, packet::NodeId terminal,
-    std::span<const std::optional<packet::Payload>> x_payloads,
-    std::size_t payload_size) {
-  if (x_payloads.size() != pool.universe())
-    throw std::invalid_argument("reconstruct_y: payload count != universe");
-
-  std::vector<std::optional<packet::Payload>> out(pool.size());
-  for (std::size_t j = 0; j < pool.size(); ++j) {
-    const YPool::Entry& e = pool.entries()[j];
-    if (!e.audience.contains(terminal)) continue;
-    packet::Payload y(payload_size, 0);
-    gf::DotBatch batch(y.data(), payload_size);
-    for (const packet::Term& t : e.combo.terms()) {
-      const auto& x = x_payloads[t.index];
-      if (!x.has_value())
-        throw std::logic_error(
-            "reconstruct_y: terminal in audience but missing an x-packet "
-            "(inconsistent reception report)");
-      if (x->size() != payload_size)
-        throw std::invalid_argument("reconstruct_y: payload size mismatch");
-      batch.add(t.coeff.value(), x->data());
-    }
-    batch.flush();
-    out[j] = std::move(y);
   }
   return out;
 }

@@ -9,12 +9,11 @@
 //   - terminal T_i reconstructs the y-packets whose combination support
 //     lies inside its reception set (step 4).
 //
-// Content evaluation comes in two forms: the arena path (spans in, arena
-// spans out — what the session and the sweep runtime use; empty input
-// span = missed x-packet, empty output span = not in the audience) and
-// the original owning-vector form kept for tests and external callers.
+// Contents go in and come out as spans: inputs view the caller's
+// payloads (an empty span is a missed x-packet), and outputs are carved
+// from the caller's PayloadArena (an empty span is a y-packet outside
+// the terminal's audience).
 
-#include <optional>
 #include <vector>
 
 #include "core/pool.h"
@@ -35,33 +34,20 @@ struct Phase1Result {
     PoolStrategy strategy = PoolStrategy::kClassShared);
 
 /// Evaluate every y-packet's content from the full x-payload vector
-/// (Alice's side; she transmitted all N payloads). Arena path: results
-/// are carved from `arena`, one span per y in pool order. Requires
-/// payload_size > 0.
+/// (Alice's side; she transmitted all N payloads). Results are carved
+/// from `arena`, one span per y in pool order. Requires payload_size > 0.
 [[nodiscard]] std::vector<packet::ConstByteSpan> all_y_contents(
     const YPool& pool, std::span<const packet::ConstByteSpan> x_payloads,
     std::size_t payload_size, packet::PayloadArena& arena);
 
-/// Owning-vector form of the above.
-[[nodiscard]] std::vector<packet::Payload> all_y_contents(
-    const YPool& pool, std::span<const packet::Payload> x_payloads,
-    std::size_t payload_size);
-
-/// Terminal-side reconstruction (step 4), arena path: x_payloads[i] must
-/// view the payload of x_i for every received index (empty span =
-/// missed). Returns, for each y in pool order, an arena span with the
-/// content when the terminal is in the y's audience, an empty span
-/// otherwise. Requires payload_size > 0.
+/// Terminal-side reconstruction (step 4): x_payloads[i] must view the
+/// payload of x_i for every received index (empty span = missed).
+/// Returns, for each y in pool order, an arena span with the content when
+/// the terminal is in the y's audience, an empty span otherwise. Requires
+/// payload_size > 0.
 [[nodiscard]] std::vector<packet::ConstByteSpan> reconstruct_y(
     const YPool& pool, packet::NodeId terminal,
     std::span<const packet::ConstByteSpan> x_payloads,
     std::size_t payload_size, packet::PayloadArena& arena);
-
-/// Owning form: x_payloads[i] may be std::nullopt for missed packets;
-/// result is std::nullopt outside the audience.
-[[nodiscard]] std::vector<std::optional<packet::Payload>> reconstruct_y(
-    const YPool& pool, packet::NodeId terminal,
-    std::span<const std::optional<packet::Payload>> x_payloads,
-    std::size_t payload_size);
 
 }  // namespace thinair::core

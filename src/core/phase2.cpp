@@ -22,24 +22,8 @@ packet::Announcement announcement_from(const gf::Matrix& rows) {
   return a;
 }
 
-// Both forms of outputs = rows * inputs now run through the fused
-// gf::encode tiling (each input streamed once per block of
-// gf::kMaxFusedRows output rows).
-
-std::vector<packet::Payload> apply_rows(
-    const gf::Matrix& rows, std::span<const packet::Payload> inputs,
-    std::size_t payload_size) {
-  if (inputs.size() != rows.cols())
-    throw std::invalid_argument("apply_rows: input count mismatch");
-  std::vector<packet::Payload> out(rows.rows());
-  for (packet::Payload& p : out) p.assign(payload_size, 0);
-  if (payload_size == 0) return out;
-  const std::vector<packet::ConstByteSpan> ins(inputs.begin(), inputs.end());
-  std::vector<packet::ByteSpan> outs(out.begin(), out.end());
-  gf::encode(rows, ins, outs, payload_size);
-  return out;
-}
-
+// outputs = rows * inputs through the fused gf::encode tiling (each
+// input streamed once per block of gf::kMaxFusedRows output rows).
 std::vector<packet::ConstByteSpan> apply_rows(
     const gf::Matrix& rows, std::span<const packet::ConstByteSpan> inputs,
     std::size_t payload_size, packet::PayloadArena& arena) {
@@ -85,87 +69,10 @@ Phase2Plan plan_phase2(std::size_t pool_size, std::size_t group_size) {
   return plan;
 }
 
-std::vector<packet::Payload> make_z_payloads(
-    const Phase2Plan& plan, std::span<const packet::Payload> y_contents,
-    std::size_t payload_size) {
-  return apply_rows(plan.h, y_contents, payload_size);
-}
-
 std::vector<packet::ConstByteSpan> make_z_payloads(
     const Phase2Plan& plan, std::span<const packet::ConstByteSpan> y_contents,
     std::size_t payload_size, packet::PayloadArena& arena) {
   return apply_rows(plan.h, y_contents, payload_size, arena);
-}
-
-std::vector<packet::Payload> recover_all_y(
-    const Phase2Plan& plan,
-    std::span<const std::optional<packet::Payload>> own_y,
-    std::span<const packet::Payload> z_payloads, std::size_t payload_size) {
-  const std::size_t m = plan.pool_size;
-  if (own_y.size() != m)
-    throw std::invalid_argument("recover_all_y: own_y size != pool size");
-  if (z_payloads.size() != plan.h.rows())
-    throw std::invalid_argument("recover_all_y: z count mismatch");
-
-  std::vector<std::size_t> unknown;
-  for (std::size_t j = 0; j < m; ++j)
-    if (!own_y[j].has_value()) unknown.push_back(j);
-  if (unknown.size() > plan.h.rows())
-    throw std::invalid_argument(
-        "recover_all_y: more unknowns than z-packets (M_i < L?)");
-
-  std::vector<packet::Payload> y(m);
-  std::vector<std::size_t> known;
-  for (std::size_t j = 0; j < m; ++j)
-    if (own_y[j].has_value()) {
-      y[j] = *own_y[j];
-      known.push_back(j);
-    }
-  if (unknown.empty()) return y;
-
-  // Residual r_i = z_i - sum_{known j} H[i][j] * y_j  =  H[:,unknown] * y_u,
-  // fused on the gather side: seed each residual with its z-content, then
-  // one gather pass per residual row over the known y's accumulates the
-  // subtraction (the residual row is loaded/stored once per block of
-  // gf::kMaxFusedRows inputs).
-  std::vector<packet::Payload> residual(z_payloads.begin(), z_payloads.end());
-  for (const packet::Payload& r : residual)
-    if (r.size() != payload_size)
-      throw std::invalid_argument("recover_all_y: z payload size mismatch");
-  {
-    const gf::Matrix hk = plan.h.select_columns(known);
-    std::vector<packet::ConstByteSpan> yk;
-    yk.reserve(known.size());
-    for (std::size_t j : known) yk.push_back(y[j]);
-    for (std::size_t i = 0; i < residual.size(); ++i)
-      gf::gather(hk.row(i), yk, residual[i]);
-  }
-
-  // Solve the (M - L) x |unknown| system; full column rank is guaranteed by
-  // the Vandermonde structure. We invert a square |unknown| x |unknown|
-  // subsystem built from the first |unknown| z-rows (any such subset of
-  // Vandermonde rows 0..M-L-1 restricted to |unknown| columns is
-  // invertible).
-  std::vector<std::size_t> rows_used(unknown.size());
-  for (std::size_t i = 0; i < unknown.size(); ++i) rows_used[i] = i;
-  const gf::Matrix sub =
-      plan.h.select_rows(rows_used).select_columns(unknown);
-  const auto inv = sub.inverse();
-  if (!inv.has_value())
-    throw std::logic_error("recover_all_y: repair system singular");
-
-  std::vector<packet::Payload> repaired(unknown.size());
-  for (packet::Payload& p : repaired) p.assign(payload_size, 0);
-  {
-    std::vector<packet::ConstByteSpan> rc;
-    rc.reserve(unknown.size());
-    for (std::size_t i : rows_used) rc.push_back(residual[i]);
-    for (std::size_t u = 0; u < repaired.size(); ++u)
-      gf::gather(inv->row(u), rc, repaired[u]);
-  }
-  for (std::size_t u = 0; u < unknown.size(); ++u)
-    y[unknown[u]] = std::move(repaired[u]);
-  return y;
 }
 
 std::vector<packet::ConstByteSpan> recover_all_y(
@@ -179,8 +86,8 @@ std::vector<packet::ConstByteSpan> recover_all_y(
     throw std::invalid_argument("recover_all_y: own_y size != pool size");
   if (z_payloads.size() != plan.h.rows())
     throw std::invalid_argument("recover_all_y: z count mismatch");
-  // Validate every broadcast z-packet (parity with the owning overload),
-  // even though only the first |unknown| rows feed the solve below.
+  // Validate every broadcast z-packet, even though only the first
+  // |unknown| rows feed the solve below.
   for (const packet::ConstByteSpan z : z_payloads)
     if (z.size() != payload_size)
       throw std::invalid_argument("recover_all_y: z payload size mismatch");
@@ -233,12 +140,6 @@ std::vector<packet::ConstByteSpan> recover_all_y(
   for (std::size_t u = 0; u < unknown.size(); ++u)
     y[unknown[u]] = repaired[u];
   return y;
-}
-
-std::vector<packet::Payload> make_s_payloads(
-    const Phase2Plan& plan, std::span<const packet::Payload> y_contents,
-    std::size_t payload_size) {
-  return apply_rows(plan.c, y_contents, payload_size);
 }
 
 std::vector<packet::ConstByteSpan> make_s_payloads(

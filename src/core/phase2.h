@@ -19,7 +19,6 @@
 //    z-broadcast "redistributes" secret bits without leaking the s-packets
 //    (the paper's key point: phase 2 does not increase M_i, it reshapes it).
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,41 +48,27 @@ struct Phase2Plan {
 [[nodiscard]] Phase2Plan plan_phase2(std::size_t pool_size,
                                      std::size_t group_size);
 
-/// Alice's side of step 1: evaluate the z-packet contents.
-[[nodiscard]] std::vector<packet::Payload> make_z_payloads(
-    const Phase2Plan& plan, std::span<const packet::Payload> y_contents,
-    std::size_t payload_size);
-
-/// Arena path: one span per z-packet, carved from `arena`.
+/// Alice's side of step 1: evaluate the z-packet contents, one span per
+/// z-packet, carved from `arena`.
 [[nodiscard]] std::vector<packet::ConstByteSpan> make_z_payloads(
     const Phase2Plan& plan, std::span<const packet::ConstByteSpan> y_contents,
     std::size_t payload_size, packet::PayloadArena& arena);
 
 /// Terminal's side of step 2: combine its reconstructed y-packets with the
 /// broadcast z-contents to recover the full y vector. `own_y` is the
-/// output of reconstruct_y(). Throws when the inputs are inconsistent
-/// (more unknowns than z-packets — impossible for a pool-derived plan).
-[[nodiscard]] std::vector<packet::Payload> recover_all_y(
-    const Phase2Plan& plan,
-    std::span<const std::optional<packet::Payload>> own_y,
-    std::span<const packet::Payload> z_payloads, std::size_t payload_size);
-
-/// Arena path: `own_y` uses empty spans for the y-packets the terminal
-/// could not reconstruct (reconstruct_y's arena convention). The returned
-/// views alias `own_y` where it was known and fresh arena spans where the
-/// packet had to be repaired.
+/// output of reconstruct_y(): empty spans for the y-packets the terminal
+/// could not reconstruct. The returned views alias `own_y` where it was
+/// known and fresh arena spans where the packet had to be repaired.
+/// Throws when the inputs are inconsistent (more unknowns than z-packets
+/// — impossible for a pool-derived plan).
 [[nodiscard]] std::vector<packet::ConstByteSpan> recover_all_y(
     const Phase2Plan& plan, std::span<const packet::ConstByteSpan> own_y,
     std::span<const packet::ConstByteSpan> z_payloads,
     std::size_t payload_size, packet::PayloadArena& arena);
 
 /// Steps 3/4: evaluate the s-packets (both sides run this once they hold
-/// every y-packet). The group secret is the concatenation of the result.
-[[nodiscard]] std::vector<packet::Payload> make_s_payloads(
-    const Phase2Plan& plan, std::span<const packet::Payload> y_contents,
-    std::size_t payload_size);
-
-/// Arena path: one span per s-packet, carved from `arena`.
+/// every y-packet), one span per s-packet, carved from `arena`. The group
+/// secret is the concatenation of the result.
 [[nodiscard]] std::vector<packet::ConstByteSpan> make_s_payloads(
     const Phase2Plan& plan, std::span<const packet::ConstByteSpan> y_contents,
     std::size_t payload_size, packet::PayloadArena& arena);

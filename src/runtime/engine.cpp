@@ -1,15 +1,21 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
+#include <thread>
 
 #include "runtime/seed.h"
-#include "runtime/task_pool.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace thinair::runtime {
+
+std::size_t hardware_threads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : static_cast<std::size_t>(n);
+}
 
 packet::PayloadArena& worker_arena() {
   thread_local packet::PayloadArena arena;
@@ -32,7 +38,7 @@ RunStats run_scenario(const Scenario& scenario, const RunOptions& options,
   // runaway requests (e.g. a wrapped negative); neither clamp can change
   // any output byte — the sink re-orders by case index.
   std::size_t threads =
-      options.threads == 0 ? TaskPool::hardware_threads() : options.threads;
+      options.threads == 0 ? hardware_threads() : options.threads;
   threads = std::min(threads, kMaxRunThreads);
   threads = std::min(threads, std::max<std::size_t>(n_cases, 1));
 
@@ -50,34 +56,41 @@ RunStats run_scenario(const Scenario& scenario, const RunOptions& options,
     sink.push(spec, result);
   };
 
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n_cases; ++i) run_case(i);
-  } else {
-    // threads-1 pool workers: the submitting thread joins the sweep via
-    // for_each_index instead of idling, so `threads` is the number of
-    // threads actually running cases (and pushing into sink rings).
-    struct ErrBox {
-      util::Mutex mu;
-      std::exception_ptr first THINAIR_GUARDED_BY(mu);
-    } err;
-    {
-      TaskPool pool(threads - 1);
-      pool.for_each_index(n_cases, [&](std::size_t i) {
-        try {
-          run_case(i);
-        } catch (...) {
-          util::MutexLock lock(&err.mu);
-          if (!err.first) err.first = std::current_exception();
-        }
-      });
+  // Every thread — the caller and threads - 1 helpers — claims the next
+  // index from one shared cursor, so `threads` is the number of threads
+  // running cases (and pushing into sink rings), and grain-1 claims keep
+  // completion order close to index order while absorbing uneven case
+  // costs. The first case exception parks the cursor past the end, so
+  // no thread claims another case, and is rethrown after the join.
+  std::atomic<std::size_t> cursor{0};
+  struct ErrBox {
+    util::Mutex mu;
+    std::exception_ptr first THINAIR_GUARDED_BY(mu);
+  } err;
+  const auto claim_cases = [&] {
+    for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+         i < n_cases; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        run_case(i);
+      } catch (...) {
+        cursor.store(n_cases, std::memory_order_relaxed);
+        util::MutexLock lock(&err.mu);
+        if (!err.first) err.first = std::current_exception();
+      }
     }
-    std::exception_ptr first_error;
-    {
-      util::MutexLock lock(&err.mu);
-      first_error = err.first;
-    }
-    if (first_error) std::rethrow_exception(first_error);
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(claim_cases);
+    claim_cases();
+  }  // the jthreads join here
+  std::exception_ptr first_error;
+  {
+    util::MutexLock lock(&err.mu);
+    first_error = err.first;
   }
+  if (first_error) std::rethrow_exception(first_error);
 
   sink.finish();
 
@@ -103,7 +116,7 @@ std::vector<std::pair<CaseSpec, CaseResult>> run_scenario_collect(
   wrapped.run = [&](const CaseSpec& spec) {
     CaseResult result = scenario.run(spec);
     // Each case writes its own preallocated element — index-disjoint,
-    // so no lock is needed; the pool join publishes the writes.
+    // so no lock is needed; the thread join publishes the writes.
     collected[spec.index] = {spec, result};
     return result;
   };

@@ -1,9 +1,10 @@
 #pragma once
 // The sweep engine: expands a scenario's SweepPlan, derives one seed per
-// case, executes every case on a work-stealing TaskPool (plus the
-// submitting thread) and streams the results through a ResultSink, whose
-// drainer thread owns all formatting and I/O — workers only ever do a
-// wait-free ring push (see docs/runtime.md). The determinism contract:
+// case, runs every case on `threads` threads (the calling thread plus
+// threads - 1 helpers) that claim case indices from one shared atomic
+// cursor, and streams the results through a ResultSink, whose drainer
+// thread owns all formatting and I/O — workers only ever do a wait-free
+// ring push (see docs/runtime.md). The determinism contract:
 // for a fixed (scenario, master_seed), the NDJSON bytes and the summary
 // aggregates are identical for every thread count, because nothing
 // observable depends on scheduling — seeds come from case indices and
@@ -51,10 +52,14 @@ struct RunStats {
   }
 };
 
+/// hardware_concurrency(), never 0 — what RunOptions::threads = 0 means.
+[[nodiscard]] std::size_t hardware_threads();
+
 /// Execute `scenario` and feed every case into `sink` (the caller calls
 /// sink.finish() semantics internally — the sink is finished on return).
-/// Throws whatever the scenario's plan/run throws; with threads > 1 the
-/// first case exception is rethrown after the pool drains.
+/// Throws whatever the scenario's plan/run throws: the first case
+/// exception stops further claims and is rethrown once every thread has
+/// joined.
 RunStats run_scenario(const Scenario& scenario, const RunOptions& options,
                       ResultSink& sink);
 

@@ -164,21 +164,17 @@ void ResultSink::drain_loop() {
 void ResultSink::accept(Record&& record) {
   if (drain_error_) return;  // already failed: discard, keep rings moving
   const std::size_t index = record.spec.index;
-  if (index < next_emit_ || pending_.contains(index))
+  if (index < next_emit_)
     throw std::logic_error("ResultSink: case pushed twice");
-  if (index != next_emit_) {
-    pending_.emplace(index, std::move(record));
-    if (pending_.size() > peak_pending_) peak_pending_ = pending_.size();
-    return;
-  }
-  emit(record.spec, record.result);
-  ++next_emit_;
-  // Drain the contiguous run that was waiting on this case.
-  for (auto it = pending_.begin();
-       it != pending_.end() && it->first == next_emit_;
-       it = pending_.erase(it), ++next_emit_) {
-    emit(it->second.spec, it->second.result);
-  }
+  const std::size_t slot = index - next_emit_;
+  if (slot >= window_.size()) window_.resize(slot + 1);
+  if (window_[slot].has_value())
+    throw std::logic_error("ResultSink: case pushed twice");
+  window_[slot] = std::move(record);
+  // Emit the contiguous run at the front of the window.
+  for (; !window_.empty() && window_.front().has_value();
+       window_.pop_front(), ++next_emit_)
+    emit(window_.front()->spec, window_.front()->result);
   emitted_.store(next_emit_, std::memory_order_relaxed);
 }
 
@@ -257,7 +253,7 @@ void ResultSink::finish() {
   // matching the old eager-writing sink's behaviour on error paths.
   flush_buffer();
   if (drain_error_) std::rethrow_exception(drain_error_);
-  if (!pending_.empty()) {
+  if (!window_.empty()) {
     std::string what = "ResultSink::finish: missing case ";
     append_u64(what, next_emit_);
     throw std::logic_error(what);

@@ -7,18 +7,18 @@
 // thread. A dedicated drainer thread, spawned by the constructor and
 // joined by finish() (or the destructor on error unwind), owns
 // everything that used to happen under the old sink mutex: the
-// case-index reorder buffer, NDJSON line building into a large buffered
+// case-index reorder window, NDJSON line building into a large buffered
 // writer, and the per-group util::Summary folds. Because the drainer
 // still emits strictly in case-index order, both the NDJSON bytes and
-// the accumulator contents are independent of thread count and steal
+// the accumulator contents are independent of thread count and arrival
 // order — this is the second half of the runtime's determinism contract
 // (seeds are the first), and the golden-SHA256 suites pin it.
 //
 // Backpressure: rings are fixed-capacity, so a producer that outruns
 // the drainer spins until a slot frees up. Memory is bounded by
-// O(producers x ring capacity) plus the reorder buffer, which only
-// holds results that finished ahead of the emission cursor (bounded by
-// in-flight parallelism in practice).
+// O(producers x ring capacity) plus the reorder window, which spans
+// from the emission cursor to the furthest index that arrived ahead of
+// it (bounded by in-flight parallelism in practice).
 //
 // Contract errors (an index pushed twice, a formatting failure) are
 // detected on the drainer and rethrown by finish(); summaries() and
@@ -27,15 +27,16 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "runtime/scenario.h"
-#include "runtime/slab_alloc.h"
 #include "runtime/spsc_ring.h"
 #include "util/mutex.h"
 #include "util/stats.h"
@@ -64,9 +65,11 @@ class ResultSink {
   /// Record case `spec` -> `result`. Thread-safe, wait-free on the
   /// worker side apart from full-ring backpressure: the record is
   /// enqueued on the calling thread's ring and the call returns. Each
-  /// index must be pushed exactly once; violations surface as
-  /// std::logic_error from finish(), which must happen-after every
-  /// push (the engine guarantees this by joining its pool first).
+  /// index of the run's plan must be pushed exactly once; violations
+  /// surface as std::logic_error from finish(), which must
+  /// happen-after every push (the engine guarantees this by joining its
+  /// threads first). A record waits in the reorder window until every
+  /// lower index has arrived.
   void push(const CaseSpec& spec, const CaseResult& result);
 
   /// Declare that this run covers only the first `run_cases` of the
@@ -105,24 +108,6 @@ class ResultSink {
   /// metric: count, min, mean, stddev, max). Valid once finish() has
   /// returned.
   void print_summary(std::ostream& os) const;
-
-  struct ReorderStats {
-    /// High-water mark of out-of-order records parked in the reorder
-    /// buffer — the actual memory the slab arena has to cover.
-    std::size_t peak_pending = 0;
-    /// Node allocation behaviour of the buffer's slab arena. After a
-    /// warm-up window, freelist_hits should track acquires: churn
-    /// recycles blocks instead of growing chunks.
-    SlabArena::Stats slab;
-  };
-
-  /// Reorder-buffer instrumentation (bench/micro_engine reports it into
-  /// BENCH_engine.json). Valid once finish() has returned, same
-  /// ownership rule as summaries().
-  [[nodiscard]] ReorderStats reorder_stats() const {
-    util::RoleLock role(&drainer_role_);
-    return ReorderStats{peak_pending_, pending_arena_.stats()};
-  }
 
  private:
   struct Record {
@@ -166,18 +151,13 @@ class ResultSink {
   // join is the happens-before edge; the role makes the ownership split
   // a compile-time property instead of a comment). Any access outside a
   // region holding the role fails -Wthread-safety.
-  using PendingAlloc = SlabAllocator<std::pair<const std::size_t, Record>>;
-  using PendingMap =
-      std::map<std::size_t, Record, std::less<std::size_t>, PendingAlloc>;
-
   util::Role drainer_role_;
   std::size_t next_emit_ THINAIR_GUARDED_BY(drainer_role_) = 0;
-  // Arena before map: map nodes live in the arena's chunks, so the map
-  // must be destroyed (and must release every node) first.
-  SlabArena pending_arena_ THINAIR_GUARDED_BY(drainer_role_);
-  PendingMap pending_ THINAIR_GUARDED_BY(drainer_role_){
-      PendingAlloc(&pending_arena_)};
-  std::size_t peak_pending_ THINAIR_GUARDED_BY(drainer_role_) = 0;
+  // The reorder window: slot k holds case next_emit_ + k once it has
+  // arrived. A filled front slot is emitted at once, so a non-empty
+  // window means case next_emit_ is missing.
+  std::deque<std::optional<Record>> window_
+      THINAIR_GUARDED_BY(drainer_role_);
   std::vector<GroupSummary> groups_ THINAIR_GUARDED_BY(drainer_role_);
   std::string buffer_ THINAIR_GUARDED_BY(drainer_role_);
   std::exception_ptr drain_error_ THINAIR_GUARDED_BY(drainer_role_);

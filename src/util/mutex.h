@@ -10,8 +10,6 @@
 //   util::MutexLock  — lock_guard with THINAIR_SCOPED_CAPABILITY, so the
 //                      analysis knows the region between construction and
 //                      destruction holds the mutex.
-//   util::CondVar    — condition_variable_any over util::Mutex; wait()
-//                      REQUIRES the mutex, matching the call contract.
 //   util::Role       — a capability with no runtime state at all, for
 //                      single-owner data: a region that calls acquire()
 //                      claims the role (e.g. "I am the drainer thread"),
@@ -20,14 +18,7 @@
 //                      happens-before edge itself comes from elsewhere
 //                      (thread join, ctor ordering); the role makes the
 //                      ownership *structure* checkable.
-//
-// CondVar uses condition_variable_any (wait takes any BasicLockable, so
-// it can release a util::Mutex directly). Its extra bookkeeping versus
-// std::condition_variable is a few tens of nanoseconds per wait — noise
-// against tasks that run for milliseconds, and the wait paths it is used
-// on (pool sleep/wake) are not hot.
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -61,26 +52,6 @@ class THINAIR_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-/// Condition variable bound to util::Mutex. wait() must be called with
-/// the mutex held (enforced statically); it releases the mutex while
-/// blocked and reacquires before returning, per the usual contract.
-/// Callers re-check their predicate in a while loop under the lock —
-/// the predicate overload is deliberately absent so guarded reads stay
-/// visible to the analysis instead of hiding inside a lambda.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(Mutex& mu) THINAIR_REQUIRES(mu) { cv_.wait(mu); }
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 /// A zero-size, zero-cost capability for single-owner state (see the

@@ -18,6 +18,7 @@
 #include "core/phase1.h"
 #include "core/phase2.h"
 #include "packet/serialize.h"
+#include "phase_spans.h"
 
 namespace thinair::core {
 namespace {
@@ -138,14 +139,10 @@ TEST(ActiveAdversary, ProtocolOutputSustainsAuthentication) {
   const Phase2Plan plan = plan_phase2(p1.build.pool);
   ASSERT_GT(plan.group_size, 0u);
 
-  channel::Rng rng(7);
-  std::vector<packet::Payload> x(s.universe);
-  for (auto& p : x) {
-    p.resize(32);
-    for (auto& b : p) b = rng.next_byte();
-  }
-  const auto y = all_y_contents(p1.build.pool, x, 32);
-  const auto secret_packets = make_s_payloads(plan, y, 32);
+  packet::PayloadArena arena;
+  const auto x = test::random_payloads(s.universe, 32, 7);
+  const auto y = all_y_contents(p1.build.pool, test::spans(x), 32, arena);
+  const auto secret_packets = make_s_payloads(plan, y, 32, arena);
   std::vector<std::uint8_t> secret;
   for (const auto& p : secret_packets)
     secret.insert(secret.end(), p.begin(), p.end());

@@ -3,7 +3,7 @@
 //
 // The runtime promises that a scenario's full NDJSON stream is a pure
 // function of (spec, master seed): independent of the GF(2^8) kernel,
-// the thread count, and the work-stealing schedule. The CI workflow
+// the thread count, and the order in which cases finish. The CI workflow
 // checks that property by cmp-ing runs against each other; this suite
 // pins it harder, as SHA-256 digests of the complete fig1/fig2/headline
 // runs. Any change to the simulation's bytes — an estimator tweak, a
@@ -112,7 +112,7 @@ TEST(GoldenNdjson, Fig1FullRunAcrossKernelsAndThreads) {
 }
 
 // The two heavyweight scenarios run on the dispatched kernel, once
-// single-threaded and once on a work-stealing schedule.
+// single-threaded and once on several threads.
 TEST(GoldenNdjson, Fig2FullRun) {
   expect_golden(kGolden[1], run_ndjson("fig2", 1), "dispatched, 1 thread");
   if (print_goldens_requested()) return;

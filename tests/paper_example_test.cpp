@@ -12,29 +12,23 @@
 
 #include "analysis/eve_view.h"
 #include "analysis/leakage.h"
-#include "channel/rng.h"
 #include "core/phase1.h"
 #include "core/phase2.h"
+#include "phase_spans.h"
 
 namespace thinair::core {
 namespace {
+
+using test::bytes;
+using test::held_spans;
+using test::random_payloads;
+using test::spans;
 
 packet::NodeId T(std::uint16_t v) { return packet::NodeId{v}; }
 
 // Paper indices are 1-based (x1..x10); ours 0-based.
 constexpr std::uint32_t X(std::uint32_t paper_index) {
   return paper_index - 1;
-}
-
-std::vector<packet::Payload> random_payloads(std::size_t n, std::size_t size,
-                                             std::uint64_t seed) {
-  channel::Rng rng(seed);
-  std::vector<packet::Payload> out(n);
-  for (auto& p : out) {
-    p.resize(size);
-    for (auto& b : p) b = rng.next_byte();
-  }
-  return out;
 }
 
 class Paper31Example : public ::testing::Test {
@@ -70,15 +64,12 @@ TEST_F(Paper31Example, ProtocolDistilsExactlyTwoSecretPackets) {
   EXPECT_EQ(eve.equivocation(p1.build.pool.rows()), 2u);
 
   // And Bob really can: end-to-end payload check.
+  packet::PayloadArena arena;
   const auto x = random_payloads(10, 100, 1);
-  const auto y = all_y_contents(p1.build.pool, x, 100);
-  std::vector<std::optional<packet::Payload>> bob_x(10);
-  for (std::uint32_t i : bob_) bob_x[i] = x[i];
-  const auto bob_y = reconstruct_y(p1.build.pool, T(1), bob_x, 100);
-  for (std::size_t j = 0; j < y.size(); ++j) {
-    ASSERT_TRUE(bob_y[j].has_value());
-    EXPECT_EQ(*bob_y[j], y[j]);
-  }
+  const auto y = all_y_contents(p1.build.pool, spans(x), 100, arena);
+  const auto bob_y =
+      reconstruct_y(p1.build.pool, T(1), held_spans(x, bob_), 100, arena);
+  EXPECT_EQ(bytes(bob_y), bytes(y));  // Bob rebuilds every y-packet
 }
 
 TEST_F(Paper31Example, PaperGoodCombinationsAreSecret) {
@@ -149,18 +140,18 @@ TEST_F(Paper32Example, OneZPacketRedistributesTwoSPacketsEmerge) {
   EXPECT_EQ(plan.h.rows(), 1u);  // M - L = 1 z-packet (paper: y2 + y3)
   EXPECT_EQ(plan.c.rows(), 2u);  // L = 2 s-packets
 
+  packet::PayloadArena arena;
   const auto y = random_payloads(3, 100, 2);
-  const auto z = make_z_payloads(plan, y, 100);
-  const auto s = make_s_payloads(plan, y, 100);
+  const auto z = make_z_payloads(plan, spans(y), 100, arena);
+  const auto s = make_s_payloads(plan, spans(y), 100, arena);
 
   // Bob holds y1, y2; Calvin holds y1, y3; both repair and agree.
-  for (auto [known_a, known_b] : {std::pair{0, 1}, std::pair{0, 2}}) {
-    std::vector<std::optional<packet::Payload>> own(3);
-    own[static_cast<std::size_t>(known_a)] = y[static_cast<std::size_t>(known_a)];
-    own[static_cast<std::size_t>(known_b)] = y[static_cast<std::size_t>(known_b)];
-    const auto full = recover_all_y(plan, own, z, 100);
-    EXPECT_EQ(full, y);
-    EXPECT_EQ(make_s_payloads(plan, full, 100), s);
+  for (const std::uint32_t other : {1u, 2u}) {
+    const std::vector<std::uint32_t> held{0, other};
+    const auto full =
+        recover_all_y(plan, held_spans(y, held), z, 100, arena);
+    EXPECT_EQ(bytes(full), y);
+    EXPECT_EQ(bytes(make_s_payloads(plan, full, 100, arena)), bytes(s));
   }
 
   // Eve: "knows nothing about any of the y-packets" but hears the z

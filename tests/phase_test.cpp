@@ -8,22 +8,17 @@
 #include "core/phase1.h"
 #include "core/phase2.h"
 #include "gf/linear_space.h"
+#include "phase_spans.h"
 
 namespace thinair::core {
 namespace {
 
-packet::NodeId T(std::uint16_t v) { return packet::NodeId{v}; }
+using test::bytes;
+using test::held_spans;
+using test::random_payloads;
+using test::spans;
 
-std::vector<packet::Payload> random_payloads(std::size_t n, std::size_t size,
-                                             std::uint64_t seed) {
-  channel::Rng rng(seed);
-  std::vector<packet::Payload> out(n);
-  for (auto& p : out) {
-    p.resize(size);
-    for (auto& b : p) b = rng.next_byte();
-  }
-  return out;
-}
+packet::NodeId T(std::uint16_t v) { return packet::NodeId{v}; }
 
 struct Fixture {
   ReceptionTable table{T(0), {T(1), T(2)}, 9};
@@ -40,11 +35,9 @@ struct Fixture {
     return run_phase1(table, est, PoolStrategy::kClassShared);
   }
 
-  [[nodiscard]] std::vector<std::optional<packet::Payload>> rx_payloads(
+  [[nodiscard]] std::vector<packet::ConstByteSpan> rx_payloads(
       packet::NodeId t) const {
-    std::vector<std::optional<packet::Payload>> out(9);
-    for (std::uint32_t i : table.received(t)) out[i] = x[i];
-    return out;
+    return held_spans(x, table.received(t));
   }
 };
 
@@ -58,17 +51,20 @@ TEST(Phase1, AnnouncementListsEveryPoolEntry) {
 TEST(Phase1, AliceAndTerminalAgreeOnYContents) {
   const Fixture f;
   const Phase1Result r = f.phase1();
-  const auto alice_y = all_y_contents(r.build.pool, f.x, 16);
+  packet::PayloadArena arena;
+  const auto alice_y =
+      bytes(all_y_contents(r.build.pool, spans(f.x), 16, arena));
 
   for (packet::NodeId t : {T(1), T(2)}) {
-    const auto own = reconstruct_y(r.build.pool, t, f.rx_payloads(t), 16);
+    const auto own = bytes(
+        reconstruct_y(r.build.pool, t, f.rx_payloads(t), 16, arena));
     const auto known = r.build.pool.known_indices(t);
     for (std::size_t j = 0; j < r.build.pool.size(); ++j) {
       const bool should_know =
           std::find(known.begin(), known.end(), j) != known.end();
-      EXPECT_EQ(own[j].has_value(), should_know);
+      EXPECT_EQ(!own[j].empty(), should_know);
       if (should_know) {
-        EXPECT_EQ(*own[j], alice_y[j]);
+        EXPECT_EQ(own[j], alice_y[j]);
       }
     }
   }
@@ -77,10 +73,24 @@ TEST(Phase1, AliceAndTerminalAgreeOnYContents) {
 TEST(Phase1, PayloadSizeMismatchThrows) {
   const Fixture f;
   const Phase1Result r = f.phase1();
-  EXPECT_THROW((void)all_y_contents(r.build.pool, f.x, 7),
+  const YPool& pool = r.build.pool;
+  packet::PayloadArena arena;
+  EXPECT_THROW((void)all_y_contents(pool, spans(f.x), 7, arena),
                std::invalid_argument);
-  std::vector<packet::Payload> short_x(4);
-  EXPECT_THROW((void)all_y_contents(r.build.pool, short_x, 16),
+  EXPECT_THROW((void)all_y_contents(pool, spans(f.x), 0, arena),
+               std::invalid_argument);
+  const std::vector<packet::ConstByteSpan> short_x(4);
+  EXPECT_THROW((void)all_y_contents(pool, short_x, 16, arena),
+               std::invalid_argument);
+
+  // The terminal side validates the x-packets it combines.
+  EXPECT_THROW((void)reconstruct_y(pool, T(1), f.rx_payloads(T(1)), 7,
+                                   arena),
+               std::invalid_argument);
+  EXPECT_THROW((void)reconstruct_y(pool, T(1), f.rx_payloads(T(1)), 0,
+                                   arena),
+               std::invalid_argument);
+  EXPECT_THROW((void)reconstruct_y(pool, T(1), short_x, 16, arena),
                std::invalid_argument);
 }
 
@@ -111,16 +121,18 @@ TEST(Phase2, EveryTerminalRecoversAllYAndTheSameSecret) {
   const Fixture f;
   const Phase1Result p1 = f.phase1();
   const Phase2Plan plan = plan_phase2(p1.build.pool);
-  const auto y = all_y_contents(p1.build.pool, f.x, 16);
-  const auto z = make_z_payloads(plan, y, 16);
-  const auto s = make_s_payloads(plan, y, 16);
+  packet::PayloadArena arena;
+  const auto y = all_y_contents(p1.build.pool, spans(f.x), 16, arena);
+  const auto z = make_z_payloads(plan, y, 16, arena);
+  const auto s = make_s_payloads(plan, y, 16, arena);
   ASSERT_EQ(s.size(), plan.group_size);
 
   for (packet::NodeId t : {T(1), T(2)}) {
-    const auto own = reconstruct_y(p1.build.pool, t, f.rx_payloads(t), 16);
-    const auto full = recover_all_y(plan, own, z, 16);
-    EXPECT_EQ(full, y);
-    EXPECT_EQ(make_s_payloads(plan, full, 16), s);
+    const auto own =
+        reconstruct_y(p1.build.pool, t, f.rx_payloads(t), 16, arena);
+    const auto full = recover_all_y(plan, own, z, 16, arena);
+    EXPECT_EQ(bytes(full), bytes(y));
+    EXPECT_EQ(bytes(make_s_payloads(plan, full, 16, arena)), bytes(s));
   }
 }
 
@@ -143,30 +155,42 @@ TEST(Phase2, FullKnowledgeNeedsNoZPackets) {
   EXPECT_EQ(plan.pool_size, plan.group_size);
   EXPECT_EQ(plan.h.rows(), 0u);
 
+  packet::PayloadArena arena;
   const auto x = random_payloads(4, 8, 5);
-  const auto y = all_y_contents(build.pool, x, 8);
-  const auto z = make_z_payloads(plan, y, 8);
+  const auto y = all_y_contents(build.pool, spans(x), 8, arena);
+  const auto z = make_z_payloads(plan, y, 8, arena);
   EXPECT_TRUE(z.empty());
-  std::vector<std::optional<packet::Payload>> own(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) own[i] = y[i];
-  EXPECT_EQ(recover_all_y(plan, own, z, 8), y);
+  EXPECT_EQ(bytes(recover_all_y(plan, y, z, 8, arena)), bytes(y));
 }
 
 TEST(Phase2, RecoverValidatesInputs) {
   const Fixture f;
   const Phase1Result p1 = f.phase1();
   const Phase2Plan plan = plan_phase2(p1.build.pool);
-  const auto y = all_y_contents(p1.build.pool, f.x, 16);
-  const auto z = make_z_payloads(plan, y, 16);
+  packet::PayloadArena arena;
+  const auto y = all_y_contents(p1.build.pool, spans(f.x), 16, arena);
+  const auto z = make_z_payloads(plan, y, 16, arena);
+  const auto own =
+      reconstruct_y(p1.build.pool, T(1), f.rx_payloads(T(1)), 16, arena);
 
-  std::vector<std::optional<packet::Payload>> wrong_size(
+  const std::vector<packet::ConstByteSpan> wrong_size(
       p1.build.pool.size() + 1);
-  EXPECT_THROW((void)recover_all_y(plan, wrong_size, z, 16),
+  EXPECT_THROW((void)recover_all_y(plan, wrong_size, z, 16, arena),
+               std::invalid_argument);
+  EXPECT_THROW((void)recover_all_y(plan, own, z, 0, arena),
+               std::invalid_argument);
+  // Every z-packet is checked, even when no y-packet needs repair.
+  ASSERT_FALSE(z.empty());
+  EXPECT_THROW((void)recover_all_y(plan, y, z, 8, arena),
+               std::invalid_argument);  // the z-packets hold 16 bytes
+  const std::span<const packet::ConstByteSpan> short_z(z.data(),
+                                                       z.size() - 1);
+  EXPECT_THROW((void)recover_all_y(plan, own, short_z, 16, arena),
                std::invalid_argument);
 
-  std::vector<std::optional<packet::Payload>> none(p1.build.pool.size());
+  const std::vector<packet::ConstByteSpan> none(p1.build.pool.size());
   if (plan.h.rows() < plan.pool_size) {  // more unknowns than z-packets
-    EXPECT_THROW((void)recover_all_y(plan, none, z, 16),
+    EXPECT_THROW((void)recover_all_y(plan, none, z, 16, arena),
                  std::invalid_argument);
   }
 }
@@ -209,17 +233,17 @@ TEST_P(PhaseSweep, EndToEndAgreementAndSecrecy) {
   const Phase2Plan plan = plan_phase2(p1.build.pool);
   if (plan.group_size == 0) return;
 
+  packet::PayloadArena arena;
   const auto x = random_payloads(n, 8, GetParam() + 1);
-  const auto y = all_y_contents(p1.build.pool, x, 8);
-  const auto z = make_z_payloads(plan, y, 8);
-  const auto s = make_s_payloads(plan, y, 8);
+  const auto y = all_y_contents(p1.build.pool, spans(x), 8, arena);
+  const auto z = make_z_payloads(plan, y, 8, arena);
+  const auto s = make_s_payloads(plan, y, 8, arena);
 
   for (packet::NodeId t : {T(1), T(2), T(3)}) {
-    std::vector<std::optional<packet::Payload>> own_x(n);
-    for (std::uint32_t i : table.received(t)) own_x[i] = x[i];
-    const auto own_y = reconstruct_y(p1.build.pool, t, own_x, 8);
-    const auto full = recover_all_y(plan, own_y, z, 8);
-    EXPECT_EQ(make_s_payloads(plan, full, 8), s);
+    const auto own_y = reconstruct_y(
+        p1.build.pool, t, held_spans(x, table.received(t)), 8, arena);
+    const auto full = recover_all_y(plan, own_y, z, 8, arena);
+    EXPECT_EQ(bytes(make_s_payloads(plan, full, 8, arena)), bytes(s));
   }
 
   gf::LinearSpace eve_space(n);

@@ -1,5 +1,5 @@
-// The scenario runtime: seed derivation, plan expansion, the
-// work-stealing pool, result reordering, and the engine's headline
+// The scenario runtime: seed derivation, plan expansion, result
+// reordering, the engine's shared-cursor loop, and its headline
 // guarantee — a sweep's NDJSON is byte-identical at any thread count.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "runtime/engine.h"
 #include "runtime/scenarios.h"
 #include "runtime/seed.h"
-#include "runtime/task_pool.h"
 #include "testbed/sweep.h"
 
 namespace thinair::runtime {
@@ -74,93 +73,6 @@ TEST(SweepPlan, RejectsBadAxes) {
   EXPECT_EQ(SweepPlan{}.size(), 0u);
 }
 
-// ------------------------------------------------------------------ pool
-
-TEST(TaskPool, RunsEveryTask) {
-  std::atomic<int> count{0};
-  {
-    TaskPool pool(4);
-    EXPECT_EQ(pool.threads(), 4u);
-    for (int i = 0; i < 500; ++i)
-      pool.submit([&count] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 500);
-  }
-}
-
-TEST(TaskPool, StealsAcrossWorkers) {
-  // All real work lands in a few long tasks; with 4 workers and
-  // round-robin dealing, finishing 64 tasks promptly requires stealing.
-  std::atomic<int> count{0};
-  std::set<std::thread::id> tids;
-  std::mutex mu;
-  {
-    TaskPool pool(4);
-    for (int i = 0; i < 64; ++i)
-      pool.submit([&] {
-        {
-          std::lock_guard lock(mu);
-          tids.insert(std::this_thread::get_id());
-        }
-        count.fetch_add(1);
-      });
-    pool.wait_idle();
-  }
-  EXPECT_EQ(count.load(), 64);
-  EXPECT_GE(tids.size(), 1u);  // >1 on multicore machines; 1-core CI is ok
-}
-
-TEST(TaskPool, ForEachIndexCoversEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  TaskPool pool(3);
-  pool.for_each_index(hits.size(),
-                      [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(TaskPool, ForEachIndexRunsOnCallerToo) {
-  // Jam the only worker behind a gate task: every index must then be
-  // swept by the calling thread itself. The last index opens the gate
-  // so for_each_index's internal drain can complete.
-  TaskPool pool(1);
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::atomic<int> count{0};
-  std::set<std::thread::id> tids;
-  std::mutex mu;
-  pool.for_each_index(64, [&](std::size_t) {
-    {
-      std::lock_guard lock(mu);
-      tids.insert(std::this_thread::get_id());
-    }
-    if (count.fetch_add(1) + 1 == 64) release.store(true);
-  });
-  EXPECT_EQ(count.load(), 64);
-  ASSERT_EQ(tids.size(), 1u);
-  EXPECT_TRUE(tids.contains(std::this_thread::get_id()));
-}
-
-TEST(TaskPool, ForEachIndexHandlesEmptyAndSmallRanges) {
-  TaskPool pool(4);
-  std::atomic<int> count{0};
-  pool.for_each_index(0, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 0);
-  pool.for_each_index(2, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(TaskPool, SubmitFromInsideATask) {
-  std::atomic<int> count{0};
-  TaskPool pool(2);
-  pool.submit([&] {
-    for (int i = 0; i < 10; ++i) pool.submit([&count] { count.fetch_add(1); });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
-}
-
 // ------------------------------------------------------------------ sink
 
 TEST(ResultSink, ReordersOutOfOrderPushes) {
@@ -197,6 +109,15 @@ TEST(ResultSink, RejectsDuplicatesAndGaps) {
     ResultSink sink("s", nullptr);
     sink.push(CaseSpec{0, 0, {}}, CaseResult{});
     sink.push(CaseSpec{0, 0, {}}, CaseResult{});
+    EXPECT_THROW(sink.finish(), std::logic_error);
+  }
+  {
+    // A duplicate of an index still parked in the reorder window.
+    ResultSink sink("s", nullptr);
+    sink.push(CaseSpec{2, 0, {}}, CaseResult{});
+    sink.push(CaseSpec{2, 0, {}}, CaseResult{});
+    sink.push(CaseSpec{0, 0, {}}, CaseResult{});
+    sink.push(CaseSpec{1, 0, {}}, CaseResult{});
     EXPECT_THROW(sink.finish(), std::logic_error);
   }
   {
@@ -337,31 +258,51 @@ TEST(Engine, LimitTruncatesThePlan) {
 }
 
 TEST(Engine, CaseExceptionsPropagate) {
-  Scenario s = synthetic_scenario(8);
-  s.run = [](const CaseSpec& spec) -> CaseResult {
-    if (spec.index == 3) throw std::runtime_error("boom");
-    return CaseResult{};
-  };
   for (const std::size_t threads : {1u, 4u}) {
+    std::atomic<int> ran_after_throw{0};
+    Scenario s = synthetic_scenario(8);
+    s.run = [&](const CaseSpec& spec) -> CaseResult {
+      if (spec.index == 3) throw std::runtime_error("boom");
+      if (spec.index > 3) ran_after_throw.fetch_add(1);
+      return CaseResult{};
+    };
     ResultSink sink(s.name, nullptr);
     RunOptions options;
     options.threads = threads;
     EXPECT_THROW((void)run_scenario(s, options, sink), std::runtime_error);
+    // One thread claims indices in order, so the exception stops the
+    // sweep before any later case starts.
+    if (threads == 1) {
+      EXPECT_EQ(ran_after_throw.load(), 0);
+    }
   }
 }
 
 TEST(Engine, CollectReturnsCasesInIndexOrder) {
-  const Scenario s = synthetic_scenario(16);
-  RunOptions options;
-  options.threads = 4;
-  options.master_seed = 7;
-  const auto cases = run_scenario_collect(s, options);
-  ASSERT_EQ(cases.size(), 16u);
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    EXPECT_EQ(cases[i].first.index, i);
-    EXPECT_EQ(cases[i].first.seed, derive_seed(7, i));
-    EXPECT_DOUBLE_EQ(param(cases[i].first.params, "i"),
-                     static_cast<double>(i));
+  // Every index runs exactly once at any thread count, including more
+  // threads than cases.
+  for (const std::size_t threads : {1u, 3u, 32u}) {
+    std::vector<std::atomic<int>> hits(16);
+    Scenario s = synthetic_scenario(16);
+    const auto run = s.run;
+    s.run = [&](const CaseSpec& spec) {
+      hits[spec.index].fetch_add(1);
+      return run(spec);
+    };
+    RunOptions options;
+    options.threads = threads;
+    options.master_seed = 7;
+    RunStats stats;
+    const auto cases = run_scenario_collect(s, options, &stats);
+    EXPECT_EQ(stats.threads, std::min<std::size_t>(threads, 16));
+    ASSERT_EQ(cases.size(), 16u);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1);
+      EXPECT_EQ(cases[i].first.index, i);
+      EXPECT_EQ(cases[i].first.seed, derive_seed(7, i));
+      EXPECT_DOUBLE_EQ(param(cases[i].first.params, "i"),
+                       static_cast<double>(i));
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 //
 // `run` executes every case of a scenario — a registered name, a spec
 // file (--spec), or either with dotted-path overrides (--set key=value) —
-// on the work-stealing engine and writes one NDJSON line per case to
+// on the shared-cursor engine and writes one NDJSON line per case to
 // --out ("-" = stdout), then prints per-group summary aggregates. Output
 // is bit-identical for any --threads value AND any --workers value:
 // case seeds derive from (--seed, case index) and rows are emitted in
