@@ -307,6 +307,7 @@ int main(int argc, char** argv) {
     }
   }
   if (opt.sessions == 0 || opt.packets == 0) return 2;
+  if (!(opt.deadline_s > 0.0)) return 2;  // also the hub's idle timeout
   clamp_to_fd_limit(opt);
   if (opt.sessions == 0) {
     std::fprintf(stderr, "micro_daemon: fd limit too low for any session\n");

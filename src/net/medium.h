@@ -9,12 +9,10 @@
 // (frames occupy airtime at the configured rate, 1 Mbps with 100-byte
 // packets in the paper), the byte ledger and the reception trace — and
 // leaves one question to the implementation: who received this frame?
-//
-//   - SimMedium (below) answers it by drawing from an ErasureModel — the
-//     in-process simulator every scenario and test runs on.
-//   - netd::SocketMedium (src/netd/socket_medium.h) answers it by asking a
-//     live `thinaird` daemon over UDP, so the same unmodified session code
-//     runs against a real network face.
+// SimMedium (below) answers it by drawing from an ErasureModel: the
+// in-process simulator every scenario and test runs on. (Live terminals
+// do not use this seam: each runs a netd::NodeSession against the
+// `thinaird` hub, which draws the erasures itself.)
 //
 // The medium is sequential and deterministic given the Rng — terminals
 // take turns transmitting under the protocol, so no collision model is
@@ -56,15 +54,14 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
-  virtual void attach(packet::NodeId node, Role role);
+  void attach(packet::NodeId node, Role role);
   [[nodiscard]] std::vector<packet::NodeId> terminals() const;
   [[nodiscard]] std::vector<packet::NodeId> eavesdroppers() const;
   [[nodiscard]] bool is_attached(packet::NodeId node) const;
 
   /// Broadcast a frame once (the paper's "transmits"). Every other attached
   /// node independently either receives it or loses it; how that is decided
-  /// is the implementation's contract (erasure draws for SimMedium, the
-  /// daemon's seeded relay for SocketMedium).
+  /// is the implementation's contract (erasure draws for SimMedium).
   virtual TxResult transmit(packet::NodeId source, const packet::Packet& pkt,
                             TrafficClass cls) = 0;
 

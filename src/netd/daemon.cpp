@@ -45,7 +45,7 @@ void Daemon::run(const std::function<void()>& on_ready) {
 
   while (!stop_.load(std::memory_order_relaxed)) {
     ready.clear();
-    // Short timeout so stop() and the expiry wheel are serviced promptly
+    // Short timeout so stop() and the expiry tick are serviced promptly
     // even on a silent socket.
     poller_.wait(50, ready);
 
@@ -68,7 +68,7 @@ void Daemon::run(const std::function<void()>& on_ready) {
         // rejected or unknown sessions (spoofed floods included) must not
         // grow the peer book between prunes. The reply, if any, already
         // went out above.
-        if (hub_.session_ledger(key.session) == nullptr) peers_.erase(key);
+        if (!hub_.has_session(key.session)) peers_.erase(key);
       }
     }
     if (now - last_tick >= 0.1) {
@@ -79,9 +79,8 @@ void Daemon::run(const std::function<void()>& on_ready) {
     if (now - last_prune >= 5.0) {
       // Drop peer-book entries whose session the hub has since closed.
       for (auto it = peers_.begin(); it != peers_.end();)
-        it = hub_.session_ledger(it->first.session) == nullptr
-                 ? peers_.erase(it)
-                 : std::next(it);
+        it = hub_.has_session(it->first.session) ? std::next(it)
+                                                  : peers_.erase(it);
       last_prune = now;
     }
   }

@@ -5,8 +5,8 @@
 // poll fallback), one SessionHub. Datagrams in, hub-addressed datagrams
 // out; the daemon's only transport state is the peer book mapping
 // (session, node) -> last-seen source address, learned from each client
-// frame. Idle-session expiry runs on the hub's timer wheel, driven by a
-// monotonic clock sampled once per loop iteration.
+// frame. Every 0.1 s the loop hands the hub a monotonic clock sample
+// (SessionHub::on_tick), which expires idle sessions.
 //
 // The loop is embeddable (tests and the bench run it on a background
 // thread via stop()/run(); the CLI runs it on the main thread until

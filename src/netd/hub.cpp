@@ -1,10 +1,9 @@
 #include "netd/hub.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string_view>
 
-#include "channel/erasure.h"
-#include "packet/packet.h"
 #include "runtime/seed.h"
 
 namespace thinair::netd {
@@ -14,25 +13,22 @@ namespace {
 /// Roster cap: the kTxReport delivery mask is one u32 bit per member.
 constexpr std::uint16_t kMaxMembers = 32;
 
+/// Relay ring depth per member (the kNack recovery horizon). A member that
+/// NACKs a seq already evicted from the ring gets kError immediately: the
+/// gap is unrecoverable.
+constexpr std::size_t kRelayWindow = 64;
+
 std::vector<std::uint8_t> message_payload(std::string_view text) {
   return {text.begin(), text.end()};
 }
 
-net::TrafficClass class_of(std::uint8_t phase) {
-  switch (static_cast<WirePhase>(phase)) {
-    case WirePhase::kXData: return net::TrafficClass::kData;
-    case WirePhase::kZCoded: return net::TrafficClass::kCoded;
-    default: return net::TrafficClass::kControl;
-  }
-}
-
 }  // namespace
 
-SessionHub::SessionHub(HubConfig config)
-    : config_(std::move(config)),
-      wheel_(std::max(config_.idle_timeout_s / 4.0, 0.25), 64) {
-  if (config_.model == nullptr)
-    config_.model = std::make_shared<channel::IidErasure>(config_.loss_p);
+SessionHub::SessionHub(HubConfig config) : config_(config) {
+  if (!(config_.loss_p >= 0.0 && config_.loss_p <= 1.0))
+    throw std::invalid_argument("SessionHub: loss_p must lie in [0, 1]");
+  if (!(config_.idle_timeout_s > 0.0))
+    throw std::invalid_argument("SessionHub: idle_timeout_s must be > 0");
 }
 
 Frame SessionHub::make_control(FrameType type, std::uint64_t session,
@@ -129,7 +125,6 @@ void SessionHub::handle_attach(const Frame& f, double now_s,
              .first;
     it->second->expected = expected;
     stats_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-    wheel_.schedule(id, now_s + config_.idle_timeout_s);
   }
   Session& s = *it->second;
   s.last_active_s = now_s;
@@ -178,17 +173,6 @@ void SessionHub::handle_attach(const Frame& f, double now_s,
   }
 }
 
-void SessionHub::account(Session& s, const Frame& f) {
-  // Mirror the in-process medium's accounting: the virtual frame is the
-  // protocol packet (16-byte slim header + payload), not the UDP datagram.
-  const std::size_t bytes = packet::Packet::header_size() + f.payload.size();
-  const double airtime = config_.mac.per_frame_overhead_s +
-                         static_cast<double>(bytes) * 8.0 /
-                             config_.mac.data_rate_bps;
-  s.ledger.add(class_of(f.header.phase), bytes, airtime);
-  s.air_s += airtime + config_.mac.inter_frame_gap_s;
-}
-
 void SessionHub::relay_to(std::uint64_t session_id, std::uint16_t node,
                           Member& member, Frame wire,
                           std::vector<Outgoing>& out) {
@@ -197,7 +181,7 @@ void SessionHub::relay_to(std::uint64_t session_id, std::uint16_t node,
   wire.header.aux = member.next_relay_seq++;
   std::vector<std::uint8_t> datagram = encode(wire);
   member.ring.emplace_back(wire.header.aux, datagram);
-  while (member.ring.size() > config_.relay_window) member.ring.pop_front();
+  while (member.ring.size() > kRelayWindow) member.ring.pop_front();
   out.push_back({session_id, node, std::move(datagram)});
   stats_.frames_relayed.fetch_add(1, std::memory_order_relaxed);
 }
@@ -228,13 +212,6 @@ void SessionHub::handle_broadcast(Session& s, const Frame& f,
 
   const bool lossy = f.header.type == static_cast<std::uint8_t>(
                                           FrameType::kData);
-  const bool no_relay = (f.header.flags & kFlagNoRelay) != 0;
-  const std::size_t tx_slot =
-      static_cast<std::size_t>(s.air_s / config_.mac.slot_duration_s);
-  account(s, f);
-
-  const channel::ErasureModel& model = *config_.model;
-
   std::uint32_t mask = 0;
   std::uint32_t bit = 0;
   for (auto& [mid, member] : s.members) {
@@ -242,15 +219,9 @@ void SessionHub::handle_broadcast(Session& s, const Frame& f,
       ++bit;
       continue;
     }
-    bool delivered = true;
-    if (lossy) {
-      const channel::LinkContext link{packet::NodeId{source},
-                                      packet::NodeId{mid}, tx_slot};
-      delivered = !model.erased(s.rng, link);
-    }
-    if (delivered) {
+    if (!lossy || !s.rng.bernoulli(config_.loss_p)) {
       mask |= (1u << bit);
-      if (!no_relay) relay_to(id, mid, member, f, out);
+      relay_to(id, mid, member, f, out);
     }
     ++bit;
   }
@@ -281,8 +252,7 @@ void SessionHub::handle_nack(Session& s, const Frame& f,
     // until its deadline.
     Frame e = make_control(FrameType::kError, f.header.session, f.header.node);
     e.payload =
-        message_payload("nack: relay history evicted (unrecoverable gap; "
-                        "raise relay_window)");
+        message_payload("nack: relay history evicted (unrecoverable gap)");
     out.push_back({f.header.session, f.header.node, encode(e)});
     return;
   }
@@ -310,39 +280,25 @@ void SessionHub::handle_bye(std::uint64_t id, Session& s, const Frame& f,
   }
 }
 
-void SessionHub::expire_session(std::uint64_t id, std::vector<Outgoing>& out) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  for (const auto& [mid, member] : it->second->members)
-    out.push_back({id, mid, encode(make_control(FrameType::kExpired, id,
-                                                mid))});
-  sessions_.erase(it);
-  stats_.sessions_expired.fetch_add(1, std::memory_order_relaxed);
-}
-
 void SessionHub::on_tick(double now_s, std::vector<Outgoing>& out) {
   util::MutexLock lock(&mu_);
-  for (const TimerWheel::Entry& entry : wheel_.advance(now_s)) {
-    auto it = sessions_.find(entry.id);
-    if (it == sessions_.end()) continue;  // closed since scheduling
-    const double deadline = it->second->last_active_s + config_.idle_timeout_s;
-    if (deadline <= now_s) {
-      expire_session(entry.id, out);
-    } else {
-      wheel_.schedule(entry.id, deadline);  // touched: lazy reinsertion
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (it->second->last_active_s + config_.idle_timeout_s > now_s) {
+      ++it;
+      continue;
     }
+    const std::uint64_t id = it->first;
+    for (const auto& [mid, member] : it->second->members)
+      out.push_back({id, mid, encode(make_control(FrameType::kExpired, id,
+                                                  mid))});
+    it = sessions_.erase(it);
+    stats_.sessions_expired.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 runtime::PoolCounters SessionHub::session_pool_counters() const {
   util::MutexLock lock(&mu_);
   return session_pool_.stats().snapshot();
-}
-
-const net::Ledger* SessionHub::session_ledger(std::uint64_t id) const {
-  util::MutexLock lock(&mu_);
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : &it->second->ledger;
 }
 
 }  // namespace thinair::netd

@@ -21,32 +21,23 @@
 // relay ring. Retransmitted client frames are absorbed by a per-member
 // last-ack cache: the cached acknowledgement is replayed and *no* new
 // erasure draws happen, so client-side ARQ cannot perturb the draw
-// sequence. Each session also runs the medium's virtual clock: relayed
-// frames are charged airtime under MacParams and recorded in a Ledger,
-// mirroring the in-process simulation's accounting.
+// sequence.
 //
 // The hub is sans-io: it consumes raw datagrams and emits datagrams
-// addressed by (session, node); the UDP daemon (daemon.h), the in-process
-// reference harness (tests) and HubMedium (socket_medium.h) all drive the
-// same code, which is what makes daemon runs comparable to in-process
-// runs under the same seeds. Idle sessions expire through a hashed timer
-// wheel (timer_wheel.h).
+// addressed by (session, node); the UDP daemon (daemon.h) and the
+// in-process reference harness (tests) drive the same code, which is what
+// makes daemon runs comparable to in-process runs under the same seeds.
+// Idle sessions expire when on_tick() scans the session table.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "channel/erasure.h"
 #include "channel/rng.h"
-#include "net/ledger.h"
-#include "net/medium.h"
-#include "netd/timer_wheel.h"
 #include "netd/wire.h"
 #include "runtime/object_pool.h"
 #include "util/mutex.h"
@@ -55,18 +46,10 @@
 namespace thinair::netd {
 
 struct HubConfig {
-  double loss_p = 0.2;  // iid per-link erasure probability (default model)
-  /// Overrides loss_p with an arbitrary per-link model when set (e.g.
-  /// channel::PerLinkErasure). Must be thread-compatible with the hub.
-  std::shared_ptr<const channel::ErasureModel> model;
+  double loss_p = 0.2;           // iid per-link erasure probability, [0, 1]
   std::uint64_t seed = 1;        // base seed; per-session streams derive
-  double idle_timeout_s = 30.0;  // expire sessions idle this long
-  /// Relay ring depth per member (kNack recovery horizon). A member that
-  /// NACKs a seq already evicted from the ring gets kError immediately —
-  /// the gap is unrecoverable.
-  std::size_t relay_window = 64;
-  std::size_t max_sessions = 0;   // 0 = unlimited
-  net::MacParams mac;             // virtual-airtime accounting model
+  double idle_timeout_s = 30.0;  // expire sessions idle this long (> 0)
+  std::size_t max_sessions = 0;  // 0 = unlimited
 };
 
 /// Daemon-visible counters. Each atomic sits on its own cache line so the
@@ -91,16 +74,18 @@ struct Outgoing {
 
 class SessionHub {
  public:
+  /// Throws std::invalid_argument unless loss_p is in [0, 1] and
+  /// idle_timeout_s > 0.
   explicit SessionHub(HubConfig config);
 
   /// Feed one received datagram; `now_s` is the transport's monotonic
-  /// clock (drives idle expiry only — erasures and airtime run on the
-  /// session's virtual clock). Responses are appended to `out`.
+  /// clock (drives idle expiry only — the erasure draws depend on the
+  /// frame order alone). Responses are appended to `out`.
   void on_datagram(std::span<const std::uint8_t> bytes, double now_s,
                    std::vector<Outgoing>& out);
 
-  /// Advance the idle-expiry wheel to `now_s`, emitting kExpired to the
-  /// members of any session that timed out.
+  /// Expire, in session-id order, every session idle since
+  /// `now_s - idle_timeout_s`, emitting kExpired to its members.
   void on_tick(double now_s, std::vector<Outgoing>& out);
 
   [[nodiscard]] const HubStats& stats() const { return stats_; }
@@ -108,11 +93,10 @@ class SessionHub {
     util::MutexLock lock(&mu_);
     return sessions_.size();
   }
-  [[nodiscard]] const HubConfig& config() const { return config_; }
-
-  /// Virtual airtime ledger of a live session (nullptr when unknown) —
-  /// exposed for tests and the bench's sanity checks.
-  [[nodiscard]] const net::Ledger* session_ledger(std::uint64_t id) const;
+  [[nodiscard]] bool has_session(std::uint64_t id) const {
+    util::MutexLock lock(&mu_);
+    return sessions_.contains(id);
+  }
 
   /// Counters of the session free-list pool (create/destroy churn reuses
   /// session records instead of rebuilding them).
@@ -140,9 +124,7 @@ class SessionHub {
     std::uint16_t expected = 0;
     bool ready = false;
     channel::Rng rng;
-    double air_s = 0.0;          // virtual clock (airtime accounting)
     double last_active_s = 0.0;  // transport clock (idle expiry)
-    net::Ledger ledger;
     // Ascending node-id order — the erasure-draw iteration order.
     std::map<std::uint16_t, Member> members;
 
@@ -154,9 +136,7 @@ class SessionHub {
       expected = 0;
       ready = false;
       rng = r;
-      air_s = 0.0;
       last_active_s = 0.0;
-      ledger = net::Ledger{};
       members.clear();
     }
   };
@@ -170,37 +150,33 @@ class SessionHub {
       THINAIR_REQUIRES(mu_);
   void handle_bye(std::uint64_t id, Session& s, const Frame& f,
                   std::vector<Outgoing>& out) THINAIR_REQUIRES(mu_);
-  void expire_session(std::uint64_t id, std::vector<Outgoing>& out)
-      THINAIR_REQUIRES(mu_);
 
   /// Relay `wire` to member `node`, stamping the per-member relay seq.
   void relay_to(std::uint64_t session_id, std::uint16_t node, Member& member,
                 Frame wire, std::vector<Outgoing>& out) THINAIR_REQUIRES(mu_);
 
-  void account(Session& s, const Frame& f) THINAIR_REQUIRES(mu_);
   [[nodiscard]] static Frame make_control(FrameType type, std::uint64_t session,
                                           std::uint16_t node,
                                           std::uint32_t aux = 0);
 
   HubConfig config_;  // immutable after construction
   HubStats stats_;    // per-line atomics, updated without the mutex
-  // The session table and expiry wheel are the hub's mutable core. The
-  // mutex makes the hub thread-safe for embedders (the single-threaded
-  // daemon pays one uncontended lock per datagram — noise against the
-  // recvfrom syscall) and, more importantly here, lets the thread-safety
-  // analysis machine-check that every handler runs with the table held:
+  // The session table is the hub's mutable core. The mutex makes the hub
+  // thread-safe for embedders (the single-threaded daemon pays one
+  // uncontended lock per datagram — noise against the recvfrom syscall)
+  // and, more importantly here, lets the thread-safety analysis
+  // machine-check that every handler runs with the table held:
   // the erasure-draw determinism argument assumes kData frames are
   // processed one at a time per session.
   mutable util::Mutex mu_;
   // Session records are pooled: close/expire releases the record to the
-  // free list and the next attach reuses it via reset() — at the 10k
-  // target, attach/bye churn must not allocate per session. Declared
-  // before sessions_ so the handles release into a live pool during
-  // destruction.
+  // free list and the next attach reuses it via reset(), so attach/bye
+  // churn does not allocate per session. Declared before sessions_ so the
+  // handles release into a live pool during destruction.
   runtime::ObjectPool<Session> session_pool_ THINAIR_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, SessionHandle> sessions_
-      THINAIR_GUARDED_BY(mu_);
-  TimerWheel wheel_ THINAIR_GUARDED_BY(mu_);
+  // Ordered by session id: the expiry scan, and the kExpired frames it
+  // emits, follow that order.
+  std::map<std::uint64_t, SessionHandle> sessions_ THINAIR_GUARDED_BY(mu_);
 };
 
 }  // namespace thinair::netd

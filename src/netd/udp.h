@@ -1,7 +1,7 @@
 #pragma once
 // Thin RAII + error-handling wrappers over BSD UDP sockets, shared by the
-// daemon, the blocking client runner, SocketMedium and the bench's client
-// pool. IPv4 only (the daemon is a loopback/LAN tool).
+// daemon, the blocking client runner and the bench's client pool. IPv4
+// only (the daemon is a loopback/LAN tool).
 
 #include <cstdint>
 #include <optional>

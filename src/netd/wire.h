@@ -61,10 +61,8 @@ enum class WirePhase : std::uint8_t {
                        // relays repurpose aux for the stream seq)
 };
 
-/// Header flag bits.
-inline constexpr std::uint8_t kFlagEve = 0x01;      // attach as eavesdropper
-inline constexpr std::uint8_t kFlagNoRelay = 0x02;  // kData: draw + account
-                                                    // only, do not relay
+/// Header flag bits. Bits 1-7 are undefined; decode() does not check them.
+inline constexpr std::uint8_t kFlagEve = 0x01;  // kAttach: as eavesdropper
 
 struct FrameHeader {
   std::uint16_t magic = kMagic;

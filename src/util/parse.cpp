@@ -1,6 +1,9 @@
 #include "util/parse.h"
 
+#include <charconv>
+#include <cmath>
 #include <limits>
+#include <system_error>
 
 namespace thinair::util {
 
@@ -22,6 +25,16 @@ bool parse_u64_in(std::string_view text, std::uint64_t min, std::uint64_t max,
                   std::uint64_t& out) {
   std::uint64_t v = 0;
   if (!parse_u64(text, v) || v < min || v > max) return false;
+  out = v;
+  return true;
+}
+
+bool parse_nonneg_double(std::string_view text, double& out) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || std::signbit(v) || !std::isfinite(v))
+    return false;
   out = v;
   return true;
 }

@@ -1,12 +1,12 @@
 #pragma once
 // Strict numeric argument parsing.
 //
-// The CLI used to lean on strtoull, which quietly skips leading
-// whitespace and accepts a sign: `--threads -1` wrapped to 2^64 - 1 and
-// `--seed -1` silently ran a huge seed. These parsers accept decimal
-// digits only — no whitespace, no '+'/'-', no trailing garbage, and no
-// silent wraparound on overflow — and live in the library so they can be
-// unit-tested (tests/cli_args_test.cpp).
+// The CLI used to lean on strtoull/strtod, which quietly skip leading
+// whitespace and accept a sign: `--threads -1` wrapped to 2^64 - 1,
+// `--seed -1` silently ran a huge seed, and `--loss nan` served a channel
+// that never erases. These parsers accept no whitespace, no sign, no
+// trailing garbage and no out-of-range or non-finite value, and live in
+// the library so they can be unit-tested (tests/cli_args_test.cpp).
 
 #include <cstdint>
 #include <string_view>
@@ -21,5 +21,11 @@ namespace thinair::util {
 /// parse_u64 plus an inclusive [min, max] range check.
 [[nodiscard]] bool parse_u64_in(std::string_view text, std::uint64_t min,
                                 std::uint64_t max, std::uint64_t& out);
+
+/// Parse `text` as a finite, non-negative decimal double ("0.25", "30",
+/// "1e-3"). Returns false — leaving `out` untouched — on an empty string,
+/// whitespace, a sign (so "-0" too), trailing garbage, "nan", "inf", hex
+/// notation, or a value outside double's range.
+[[nodiscard]] bool parse_nonneg_double(std::string_view text, double& out);
 
 }  // namespace thinair::util

@@ -79,7 +79,8 @@ void Sha256::process_block(const std::uint8_t* block) {
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   assert(!finalized_ && "Sha256: update() after digest()");
-  if (finalized_) return;
+  // An empty span may carry a null data(), which memcpy must not see.
+  if (finalized_ || data.empty()) return;
   total_bytes_ += data.size();
   std::size_t i = 0;
   if (buffered_ != 0) {

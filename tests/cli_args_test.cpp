@@ -1,7 +1,8 @@
 // The strict CLI numeric parsers (util/parse.h): the regression suite for
-// the `--threads -1` wraparound bug. strtoull-style leniency — skipped
-// whitespace, sign prefixes, trailing garbage, silent 64-bit wraparound —
-// must all be rejected.
+// the `--threads -1` wraparound bug and the `--loss nan` channel.
+// strtoull/strtod-style leniency — skipped whitespace, sign prefixes,
+// trailing garbage, silent 64-bit wraparound, non-finite values — must all
+// be rejected.
 #include "util/parse.h"
 
 #include <gtest/gtest.h>
@@ -68,6 +69,47 @@ TEST(ParseU64In, EnforcesInclusiveBounds) {
   EXPECT_FALSE(util::parse_u64_in("-1", 0, 1024, v));
   EXPECT_FALSE(util::parse_u64_in("18446744073709551615", 0, 1024, v));
   EXPECT_EQ(v, 1024u) << "failed parse must not clobber the output";
+}
+
+TEST(ParseNonnegDouble, AcceptsFiniteNonNegativeDecimals) {
+  double v = -1.0;
+  EXPECT_TRUE(util::parse_nonneg_double("0", v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(util::parse_nonneg_double("0.25", v));
+  EXPECT_EQ(v, 0.25);
+  EXPECT_TRUE(util::parse_nonneg_double("30", v));
+  EXPECT_EQ(v, 30.0);
+  EXPECT_TRUE(util::parse_nonneg_double("1e-3", v));
+  EXPECT_EQ(v, 1e-3);
+  EXPECT_TRUE(util::parse_nonneg_double(".5", v));
+  EXPECT_EQ(v, 0.5);
+}
+
+// `--loss nan` used to serve a channel that never erases, and a NaN idle
+// timeout fed an undefined double-to-integer cast.
+TEST(ParseNonnegDouble, RejectsNanAndInfinity) {
+  double v = 7.0;
+  EXPECT_FALSE(util::parse_nonneg_double("nan", v));
+  EXPECT_FALSE(util::parse_nonneg_double("NaN", v));
+  EXPECT_FALSE(util::parse_nonneg_double("-nan", v));
+  EXPECT_FALSE(util::parse_nonneg_double("inf", v));
+  EXPECT_FALSE(util::parse_nonneg_double("infinity", v));
+  EXPECT_FALSE(util::parse_nonneg_double("1e400", v));  // overflows to inf
+  EXPECT_EQ(v, 7.0) << "a rejected parse must leave out untouched";
+}
+
+TEST(ParseNonnegDouble, RejectsSignsGarbageWhitespaceAndEmpty) {
+  double v = 7.0;
+  EXPECT_FALSE(util::parse_nonneg_double("", v));
+  EXPECT_FALSE(util::parse_nonneg_double("-1", v));
+  EXPECT_FALSE(util::parse_nonneg_double("-0", v));
+  EXPECT_FALSE(util::parse_nonneg_double("+1", v));
+  EXPECT_FALSE(util::parse_nonneg_double(" 1", v));
+  EXPECT_FALSE(util::parse_nonneg_double("1 ", v));
+  EXPECT_FALSE(util::parse_nonneg_double("1.5s", v));
+  EXPECT_FALSE(util::parse_nonneg_double("0x10", v));
+  EXPECT_FALSE(util::parse_nonneg_double("banana", v));
+  EXPECT_EQ(v, 7.0);
 }
 
 }  // namespace

@@ -138,11 +138,14 @@ TEST(GoldenNdjson, Sha256KnownAnswers) {
       util::sha256_hex(
           "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-  // Streaming in odd-sized chunks crosses block boundaries.
+  // Streaming in odd-sized chunks crosses block boundaries; the empty
+  // span between chunks (null data(), e.g. an empty key) must be a no-op.
   util::Sha256 h;
   const std::string million(1000000, 'a');
-  for (std::size_t i = 0; i < million.size(); i += 977)
+  for (std::size_t i = 0; i < million.size(); i += 977) {
     h.update(std::string_view(million).substr(i, 977));
+    h.update(std::span<const std::uint8_t>{});
+  }
   EXPECT_EQ(h.hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }

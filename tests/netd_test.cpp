@@ -1,21 +1,23 @@
 // In-process exercise of the thinaird core: NodeSessions pumped against a
 // SessionHub with no sockets involved. Covers multi-party key equality,
-// cross-run determinism, heavy loss, relay loss + kNack recovery, idle
-// expiry through the timer wheel, and the hub counters.
+// cross-run determinism, keys pinned to a recorded digest, heavy loss,
+// relay loss + kNack recovery, the eavesdropper attach, idle expiry
+// through the on_tick scan, and the hub counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "channel/rng.h"
 #include "netd/hub.h"
 #include "netd/node_session.h"
-#include "netd/timer_wheel.h"
 #include "netd/wire.h"
 #include "util/sha256.h"
 
@@ -201,13 +203,26 @@ TEST(NetdLoop, RecoversFromDroppedClientFrames) {
 TEST(NetdLoop, LossyDeliveryActuallyErases) {
   // With loss and several rounds, at least one kData frame must miss at
   // least one peer — otherwise the "lossy" channel is not lossy and the
-  // scheme's secrecy premise is void. Check via the session ledger.
-  LoopHarness* h = nullptr;
+  // scheme's secrecy premise is void. With two members, a kTxReport's
+  // delivery mask is empty exactly when the one peer's draw erased it.
   HubConfig hc;
   hc.loss_p = 0.4;
-  (void)run_session(hc, 2, &h);
-  ASSERT_NE(h, nullptr);
-  EXPECT_GT(h->hub.stats().frames_relayed.load(), 0u);
+  LoopHarness h{hc};
+  h.add_node(make_node(0, 2));
+  h.add_node(make_node(1, 2));
+  std::size_t erased = 0;
+  h.drop_to_client = [&erased](const Outgoing& o) {
+    const DecodeResult d = decode(o.datagram);
+    if (d.frame.has_value() &&
+        d.frame->header.type ==
+            static_cast<std::uint8_t>(FrameType::kTxReport) &&
+        d.frame->header.aux == 0)
+      ++erased;
+    return false;
+  };
+  ASSERT_TRUE(h.run());
+  EXPECT_GT(erased, 0u);
+  EXPECT_GT(h.hub.stats().frames_relayed.load(), 0u);
 }
 
 TEST(NetdNode, RelayBeforeReadyIsBufferedNotFatal) {
@@ -351,9 +366,7 @@ TEST(NetdHub, EveAttachListensWithoutJoiningRoster) {
 }
 
 TEST(NetdHub, NackPastRingRepliesError) {
-  HubConfig hc;
-  hc.relay_window = 4;
-  SessionHub hub(hc);
+  SessionHub hub(HubConfig{});
   std::vector<Outgoing> out;
   auto send = [&](const Frame& f) {
     out.clear();
@@ -369,9 +382,9 @@ TEST(NetdHub, NackPastRingRepliesError) {
   attach.header.node = 1;
   send(attach);
 
-  // Eight reliable broadcasts from node 0: node 1's relay ring (depth 4)
+  // 68 reliable broadcasts from node 0: node 1's relay ring (depth 64)
   // evicts relay seqs 0-3.
-  for (std::uint32_t i = 0; i < 8; ++i) {
+  for (std::uint32_t i = 0; i < 68; ++i) {
     Frame ctrl;
     ctrl.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
     ctrl.header.session = 5;
@@ -399,7 +412,7 @@ TEST(NetdHub, NackPastRingRepliesError) {
   EXPECT_TRUE(saw_error);
 
   // A NACK still inside the ring retransmits the tail as before.
-  nack.header.aux = 6;
+  nack.header.aux = 66;
   send(nack);
   std::size_t relays = 0;
   for (const Outgoing& o : out) {
@@ -408,7 +421,7 @@ TEST(NetdHub, NackPastRingRepliesError) {
         static_cast<FrameType>(d.frame->header.type) == FrameType::kRelay)
       ++relays;
   }
-  EXPECT_EQ(relays, 2u) << "expected seqs 6 and 7 resent";
+  EXPECT_EQ(relays, 2u) << "expected seqs 66 and 67 resent";
 }
 
 TEST(NetdHub, SessionExpiresWhenIdle) {
@@ -457,8 +470,8 @@ TEST(NetdHub, ActivityDefersExpiry) {
   std::vector<Outgoing> out;
   hub.on_datagram(encode(attach), 0.0, out);
 
-  // Keep touching the session: re-attach (idempotent) every 0.6s. The stale
-  // wheel entries must lazily reschedule instead of expiring it.
+  // Keep touching the session: re-attach (idempotent) every 0.6s. Each
+  // touch pushes the idle deadline back, so no tick may expire it.
   for (int i = 1; i <= 5; ++i) {
     out.clear();
     hub.on_tick(0.6 * i, out);
@@ -481,6 +494,23 @@ TEST(NetdHub, CountsSessionsAndFrames) {
   EXPECT_EQ(s.sessions_closed.load(), 1u);
   EXPECT_EQ(s.decode_errors.load(), 0u);
   EXPECT_EQ(h->hub.session_count(), 0u) << "kBye should close the session";
+}
+
+TEST(NetdHub, RejectsOutOfRangeConfig) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {-0.1, 1.5, nan}) {
+    HubConfig hc;
+    hc.loss_p = p;
+    EXPECT_THROW(SessionHub hub(hc), std::invalid_argument) << "loss " << p;
+  }
+  for (const double t : {0.0, -1.0, nan}) {
+    HubConfig hc;
+    hc.idle_timeout_s = t;
+    EXPECT_THROW(SessionHub hub(hc), std::invalid_argument) << "timeout " << t;
+  }
+  HubConfig certain_loss;
+  certain_loss.loss_p = 1.0;
+  EXPECT_NO_THROW(SessionHub hub(certain_loss));
 }
 
 TEST(NetdHub, RejectsGarbageAndCountsIt) {
@@ -593,43 +623,6 @@ TEST(NetdNode, ResetRestoresConstructionEquivalentState) {
   EXPECT_TRUE(a.secret().empty()) << "reset kept the previous secret";
   SessionHub second_hub(hc);
   EXPECT_EQ(pump_pair(second_hub, a, b), first);
-}
-
-TEST(TimerWheel, FiresAtDeadline) {
-  TimerWheel wheel(0.5, 8);
-  wheel.schedule(1, 1.0);
-  wheel.schedule(2, 2.0);
-  EXPECT_EQ(wheel.size(), 2u);
-
-  auto due = wheel.advance(0.9);
-  EXPECT_TRUE(due.empty());
-  due = wheel.advance(1.1);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].id, 1u);
-  due = wheel.advance(5.0);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].id, 2u);
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimerWheel, EntriesBeyondOneLapSurvive) {
-  TimerWheel wheel(0.1, 4);  // lap = 0.4s
-  wheel.schedule(9, 10.0);   // many laps out
-  for (double t = 0.1; t < 9.9; t += 0.1)
-    EXPECT_TRUE(wheel.advance(t).empty()) << "fired early at t=" << t;
-  const auto due = wheel.advance(10.5);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].id, 9u);
-}
-
-TEST(TimerWheel, LargeJumpWalksAtMostOneLap) {
-  TimerWheel wheel(0.5, 8);
-  wheel.schedule(3, 2.0);
-  // A huge clock jump must still collect everything due, exactly once.
-  const auto due = wheel.advance(1e6);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].id, 3u);
-  EXPECT_TRUE(wheel.advance(2e6).empty());
 }
 
 }  // namespace

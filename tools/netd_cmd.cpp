@@ -2,7 +2,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -18,15 +17,6 @@ netd::Daemon* g_daemon = nullptr;
 
 void on_signal(int) {
   if (g_daemon != nullptr) g_daemon->stop();
-}
-
-bool parse_double(const char* text, double& out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == nullptr || *end != '\0' || v < 0.0) return false;
-  out = v;
-  return true;
 }
 
 int flag_error(const char* flag, const char* value) {
@@ -65,12 +55,14 @@ int cmd_serve(int argc, char** argv) {
       port_set = true;
     } else if (flag == "--loss") {
       double p = 0.0;
-      if (!parse_double(value, p) || p >= 1.0) return flag_error("--loss", value);
+      if (!util::parse_nonneg_double(value ? value : "", p) || p >= 1.0)
+        return flag_error("--loss", value);
       config.hub.loss_p = p;
     } else if (flag == "--seed" && util::parse_u64(value ? value : "", n)) {
       config.hub.seed = n;
     } else if (flag == "--idle-timeout") {
-      if (!parse_double(value, config.hub.idle_timeout_s) ||
+      if (!util::parse_nonneg_double(value ? value : "",
+                                     config.hub.idle_timeout_s) ||
           config.hub.idle_timeout_s <= 0.0)
         return flag_error("--idle-timeout", value);
     } else if (flag == "--max-sessions" &&
@@ -153,7 +145,8 @@ int cmd_client(int argc, char** argv) {
                util::parse_u64(value ? value : "", n)) {
       config.node.payload_seed = n;
     } else if (flag == "--deadline") {
-      if (!parse_double(value, config.deadline_s) || config.deadline_s <= 0.0)
+      if (!util::parse_nonneg_double(value ? value : "", config.deadline_s) ||
+          config.deadline_s <= 0.0)
         return flag_error("--deadline", value);
     } else {
       return flag_error(flag.c_str(), value);

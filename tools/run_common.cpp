@@ -1,7 +1,6 @@
 #include "run_common.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -20,16 +19,6 @@ namespace {
 /// running seed 0 or requesting 2^64 - 1 threads.
 bool parse_u64(const char* text, std::uint64_t& out) {
   return text != nullptr && util::parse_u64(text, out);
-}
-
-/// Strict non-negative double for --shard-timeout.
-bool parse_seconds(const char* text, double& out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == nullptr || *end != '\0' || !(v >= 0.0)) return false;
-  out = v;
-  return true;
 }
 
 }  // namespace
@@ -188,7 +177,8 @@ bool parse_run_args(int argc, char** argv, RunArgs& args) {
       args.shard_size = n;
     } else if (flag == "--shard-timeout") {
       const char* v = value();
-      if (!parse_seconds(v, args.shard_timeout_s)) return bad_number(v);
+      if (v == nullptr || !util::parse_nonneg_double(v, args.shard_timeout_s))
+        return bad_number(v);
     } else if (flag == "--listen") {
       const char* v = value();
       if (v == nullptr) return false;

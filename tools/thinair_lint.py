@@ -10,7 +10,9 @@ depends on, but that no general-purpose tool knows to look for:
                         implementation-defined, so iterating one in a
                         relay/emission/accounting path silently breaks
                         run-to-run determinism. Ordered containers
-                        (std::map / sorted vectors) only.
+                        (std::map / sorted vectors) only. A .cpp is also
+                        checked against the containers its own header
+                        (same stem, .h) declares.
   rng-discipline        All randomness flows from the seeded deterministic
                         generator in src/channel/rng.h. std::rand,
                         std::random_device and time-seeding reintroduce
@@ -138,15 +140,28 @@ def find_unordered_names(code: str) -> set[str]:
     return names
 
 
+def own_header_code(path: Path) -> str:
+    """The comment-stripped text of a .cpp's own header (same stem, .h)."""
+    header = path.with_suffix(".h")
+    if path.suffix != ".cpp" or not header.is_file():
+        return ""
+    return strip_comments_and_strings(
+        header.read_text(encoding="utf-8", errors="replace")
+    )
+
+
 # --------------------------------------------------------------------------
 # Rules
+#
+# Each check gets a file's comment-stripped code and, for a .cpp, its own
+# header's ("" otherwise), and reports findings by line of the file.
 
 Finding = tuple[int, str]  # (line, message)
 
 
-def rule_unordered_iteration(code: str) -> list[Finding]:
+def rule_unordered_iteration(code: str, header: str) -> list[Finding]:
     findings: list[Finding] = []
-    names = find_unordered_names(code)
+    names = find_unordered_names(code) | find_unordered_names(header)
     if not names:
         return findings
     name_alt = "|".join(re.escape(x) for x in sorted(names))
@@ -176,7 +191,7 @@ _RNG_RE = re.compile(
 )
 
 
-def rule_rng_discipline(code: str) -> list[Finding]:
+def rule_rng_discipline(code: str, header: str) -> list[Finding]:
     findings: list[Finding] = []
     for lineno, line in enumerate(code.splitlines(), start=1):
         m = _RNG_RE.search(line)
@@ -198,7 +213,7 @@ _FLOAT_FMT_RE = re.compile(
 )
 
 
-def rule_ndjson_float_format(code: str) -> list[Finding]:
+def rule_ndjson_float_format(code: str, header: str) -> list[Finding]:
     findings: list[Finding] = []
     for lineno, line in enumerate(code.splitlines(), start=1):
         m = _FLOAT_FMT_RE.search(line)
@@ -220,7 +235,7 @@ _RAW_ALLOC_RE = re.compile(
 )
 
 
-def rule_raw_alloc_hot_path(code: str) -> list[Finding]:
+def rule_raw_alloc_hot_path(code: str, header: str) -> list[Finding]:
     findings: list[Finding] = []
     for lineno, line in enumerate(code.splitlines(), start=1):
         m = _RAW_ALLOC_RE.search(line)
@@ -243,7 +258,7 @@ _WIRE_CAST_RE = re.compile(r"\breinterpret_cast\b")
 _WIRE_INDEX_RE = re.compile(r"\b(datagram|bytes|buf)\s*\[")
 
 
-def rule_netd_wire_decode(code: str) -> list[Finding]:
+def rule_netd_wire_decode(code: str, header: str) -> list[Finding]:
     findings: list[Finding] = []
     for lineno, line in enumerate(code.splitlines(), start=1):
         m = _WIRE_CAST_RE.search(line)
@@ -354,13 +369,14 @@ def lint_file(path: Path, relpath: str, only_rule: str | None = None):
         print(f"thinair_lint: cannot read {path}: {e}", file=sys.stderr)
         return []
     code = strip_comments_and_strings(raw)
+    header = own_header_code(path)
     allows = allowed_rules_by_line(raw)
     results = []
     rules = [RULES_BY_NAME[only_rule]] if only_rule else RULES
     for rule in rules:
         if only_rule is None and not rule.applies_to(relpath):
             continue
-        for lineno, message in rule.check(code):
+        for lineno, message in rule.check(code, header):
             if rule.name in allows.get(lineno, set()):
                 continue
             results.append((relpath, lineno, rule.name, message))
@@ -401,7 +417,8 @@ def gather_files(args, repo_root: Path) -> list[Path]:
 def run_self_test(fixtures_dir: Path) -> int:
     """Prove each rule fires on bad_* fixtures and stays quiet on clean_*.
 
-    Fixture layout: <fixtures_dir>/<rule-name>/{bad_*.cpp,clean_*.cpp}.
+    Fixture layout: <fixtures_dir>/<rule-name>/{bad_*.cpp,clean_*.cpp}; a
+    fixture's own header (same stem, .h) is read as in a project lint.
     Path scoping is bypassed — each fixture is checked against exactly its
     directory's rule, so the fixtures test detection, not scoping.
     """
