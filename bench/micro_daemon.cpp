@@ -3,8 +3,7 @@
 // Starts one daemon (real UDP on loopback) and drives N concurrent
 // two-party key-agreement sessions against it from a multiplexed client
 // pool: one non-blocking socket per terminal, all serviced by a single
-// epoll loop, every session in flight at once. Writes BENCH_daemon.json
-// (path overridable with the BENCH_DAEMON_JSON env var):
+// epoll loop, every session in flight at once. Writes BENCH_daemon.json:
 //
 //   sessions, completed, p50/p99 time-to-key, sessions/sec, epoll
 //
@@ -20,9 +19,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -30,6 +29,8 @@
 #include "netd/node_session.h"
 #include "netd/poller.h"
 #include "netd/udp.h"
+#include "report.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -238,39 +239,22 @@ int run_bench(const Options& opt) {
   const double rate = wall_s > 0.0 ? completed / wall_s : 0.0;
   const netd::HubStats& hs = daemon.hub().stats();
 
-  const char* path = std::getenv("BENCH_DAEMON_JSON");
-  if (path == nullptr) path = "BENCH_daemon.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"micro_daemon\",\n"
-               "  \"sessions\": %zu,\n"
-               "  \"requested_sessions\": %zu,\n"
-               "  \"fd_limit\": %zu,\n"
-               "  \"fd_clamped\": %s,\n"
-               "  \"completed\": %zu,\n"
-               "  \"with_nonzero_secret\": %zu,\n"
-               "  \"x_packets_per_round\": %zu,\n"
-               "  \"p50_time_to_key_ms\": %.2f,\n"
-               "  \"p99_time_to_key_ms\": %.2f,\n"
-               "  \"sessions_per_s\": %.1f,\n"
-               "  \"wall_s\": %.2f,\n"
-               "  \"datagrams_in\": %llu,\n"
-               "  \"frames_relayed\": %llu,\n"
-               "  \"epoll\": %s\n"
-               "}\n",
-               opt.sessions, opt.requested_sessions, opt.fd_limit,
-               opt.fd_clamped ? "true" : "false", completed, with_secret,
-               opt.packets, p50, p99,
-               rate, wall_s,
-               static_cast<unsigned long long>(hs.datagrams_in.load()),
-               static_cast<unsigned long long>(hs.frames_relayed.load()),
-               daemon.using_epoll() ? "true" : "false");
-  std::fclose(f);
+  bench::Report report("daemon");
+  report.count("sessions", opt.sessions)
+      .count("requested_sessions", opt.requested_sessions)
+      .count("fd_limit", opt.fd_limit)
+      .flag("fd_clamped", opt.fd_clamped)
+      .count("completed", completed)
+      .count("with_nonzero_secret", with_secret)
+      .count("x_packets_per_round", opt.packets)
+      .num("p50_time_to_key_ms", p50, 2)
+      .num("p99_time_to_key_ms", p99, 2)
+      .num("sessions_per_s", rate, 1)
+      .num("wall_s", wall_s, 2)
+      .count("datagrams_in", hs.datagrams_in.load())
+      .count("frames_relayed", hs.frames_relayed.load())
+      .flag("epoll", daemon.using_epoll());
+  if (report.write() != 0) return 1;
 
   std::fprintf(stderr,
                "micro_daemon: %zu/%zu sessions, p50 %.1f ms, p99 %.1f ms, "
@@ -285,29 +269,42 @@ int run_bench(const Options& opt) {
   return 0;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: micro_daemon [--sessions K] [--packets N] "
+               "[--deadline SEC]   (1 <= K <= 1000000; N >= 1; "
+               "0 < SEC <= 86400)\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    ++i;
-    if (flag == "--sessions" && value != nullptr) {
-      opt.sessions = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (flag == "--packets" && value != nullptr) {
-      opt.packets = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (flag == "--deadline" && value != nullptr) {
-      opt.deadline_s = std::strtod(value, nullptr);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::size_t>::max();
+  // Two fds per session put any larger count past every RLIMIT_NOFILE, and
+  // the cap keeps clamp_to_fd_limit's sessions * 2 from wrapping. The
+  // deadline cap keeps deadline_s / rto_s a representable retry count.
+  constexpr std::uint64_t kMaxSessions = 1'000'000;
+  constexpr double kMaxDeadlineS = 86400.0;
+  for (int i = 1; i < argc; i += 2) {
+    const std::string_view flag = argv[i];
+    if (i + 1 >= argc) return usage();
+    const std::string_view value = argv[i + 1];
+    std::uint64_t n = 0;
+    double seconds = 0.0;
+    if (flag == "--sessions" && util::parse_u64_in(value, 1, kMaxSessions, n)) {
+      opt.sessions = n;
+    } else if (flag == "--packets" && util::parse_u64_in(value, 1, kMax, n)) {
+      opt.packets = n;
+    } else if (flag == "--deadline" &&
+               util::parse_nonneg_double(value, seconds) && seconds > 0.0 &&
+               seconds <= kMaxDeadlineS) {
+      opt.deadline_s = seconds;  // also the hub's idle timeout
     } else {
-      std::fprintf(stderr,
-                   "usage: micro_daemon [--sessions K] [--packets N] "
-                   "[--deadline SEC]\n");
-      return 2;
+      return usage();
     }
   }
-  if (opt.sessions == 0 || opt.packets == 0) return 2;
-  if (!(opt.deadline_s > 0.0)) return 2;  // also the hub's idle timeout
   clamp_to_fd_limit(opt);
   if (opt.sessions == 0) {
     std::fprintf(stderr, "micro_daemon: fd limit too low for any session\n");

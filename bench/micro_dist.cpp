@@ -4,8 +4,7 @@
 // 1, 2 and 4 forked workers (the real fork/exec + socketpair path — the
 // workers are `thinair sweep-worker` processes of the sibling CLI
 // binary) and through run_scenario as the single-process reference.
-// Writes BENCH_dist.json (path overridable with the BENCH_DIST_JSON env
-// var):
+// Writes BENCH_dist.json:
 //
 //   cases, per-worker-count {wall_s, cases/s, shards, shard round-trip
 //   p50/p99 ms}
@@ -13,8 +12,8 @@
 // and exits nonzero unless every distributed run's NDJSON is
 // byte-identical to the reference — the bench doubles as the
 // acceptance check, exactly like micro_daemon. The container CI runs
-// on one core, so the checker (tools/check_bench_dist.py) holds the
-// numbers to structural sanity, not scaling.
+// on one core, so the checker (tools/check_bench.py) holds the numbers
+// to structural sanity, not scaling.
 //
 //   usage: micro_dist [--cases K] [--binary /path/to/thinair]
 
@@ -22,16 +21,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dist/runner.h"
+#include "report.h"
 #include "runtime/engine.h"
 #include "runtime/result_sink.h"
 #include "runtime/scenario_spec.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -146,51 +147,45 @@ int run_bench(const Options& opt) {
                  point.shard_p99_ms, point.wall_s);
   }
 
-  const char* path = std::getenv("BENCH_DIST_JSON");
-  if (path == nullptr) path = "BENCH_dist.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"micro_dist\",\n"
-               "  \"cases\": %zu,\n"
-               "  \"byte_identical\": true,\n"
-               "  \"runs\": [\n",
-               cases);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const WorkerPoint& p = points[i];
-    std::fprintf(f,
-                 "    {\"workers\": %zu, \"wall_s\": %.3f, "
-                 "\"cases_per_s\": %.1f, \"shards\": %zu, "
-                 "\"shard_p50_ms\": %.3f, \"shard_p99_ms\": %.3f}%s\n",
-                 p.workers, p.wall_s, p.cases_per_s, p.shards, p.shard_p50_ms,
-                 p.shard_p99_ms, i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return 0;
+  bench::Report report("dist");
+  report.count("cases", cases).flag("byte_identical", true).array("runs");
+  for (const WorkerPoint& p : points)
+    report.object()
+        .count("workers", p.workers)
+        .num("wall_s", p.wall_s)
+        .num("cases_per_s", p.cases_per_s, 1)
+        .count("shards", p.shards)
+        .num("shard_p50_ms", p.shard_p50_ms)
+        .num("shard_p99_ms", p.shard_p99_ms)
+        .end();
+  report.end();
+  return report.write();
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: micro_dist [--cases K] [--binary PATH]   (K >= 1)\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    ++i;
-    if (flag == "--cases" && value != nullptr) {
-      opt.cases = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (flag == "--binary" && value != nullptr) {
+  for (int i = 1; i < argc; i += 2) {
+    const std::string_view flag = argv[i];
+    if (i + 1 >= argc) return usage();
+    const std::string_view value = argv[i + 1];
+    std::uint64_t n = 0;
+    if (flag == "--cases" &&
+        util::parse_u64_in(value, 1, std::numeric_limits<std::size_t>::max(),
+                           n)) {
+      opt.cases = n;
+    } else if (flag == "--binary" && !value.empty()) {
       opt.binary = value;
     } else {
-      std::fprintf(stderr, "usage: micro_dist [--cases K] [--binary PATH]\n");
-      return 2;
+      return usage();
     }
   }
-  if (opt.cases == 0) return 2;
   return run_bench(opt);
 }

@@ -12,9 +12,9 @@
 //   - the p50/p99 latency of a single ResultSink::push call under a
 //     steady single-producer stream.
 //
-// Writes BENCH_engine.json (path overridable with the BENCH_ENGINE_JSON
-// env var) and exits nonzero unless every sweep emitted every case with
-// the expected aggregate — the CI run doubles as a correctness check.
+// Writes BENCH_engine.json and exits nonzero unless every sweep emitted
+// every case with the expected aggregate — the CI run doubles as a
+// correctness check.
 //
 //   usage: micro_engine [--cases N] [--push-samples N] [--reps R]
 
@@ -23,15 +23,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <ostream>
 #include <streambuf>
-#include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
+#include "report.h"
 #include "runtime/engine.h"
 #include "runtime/result_sink.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -40,7 +41,7 @@ using namespace thinair;
 struct Options {
   std::size_t cases = 200000;
   std::size_t push_samples = 100000;
-  int reps = 3;
+  std::size_t reps = 3;
 };
 
 // Swallows everything: keeps the drainer's formatting + buffered writes
@@ -164,28 +165,32 @@ PushLatency measure_push(std::size_t samples) {
   return lat;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: micro_engine [--cases N] [--push-samples N] "
+               "[--reps R]   (every value >= 1)\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (std::strcmp(argv[i], "--cases") == 0) {
-      const char* v = next();
-      if (v != nullptr) opt.cases = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--push-samples") == 0) {
-      const char* v = next();
-      if (v != nullptr) opt.push_samples = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      const char* v = next();
-      if (v != nullptr) opt.reps = std::atoi(v);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::size_t>::max();
+  for (int i = 1; i < argc; i += 2) {
+    const std::string_view flag = argv[i];
+    if (i + 1 >= argc) return usage();
+    const std::string_view value = argv[i + 1];
+    std::uint64_t n = 0;
+    if (flag == "--cases" && util::parse_u64_in(value, 1, kMax, n)) {
+      opt.cases = n;
+    } else if (flag == "--push-samples" &&
+               util::parse_u64_in(value, 1, kMax, n)) {
+      opt.push_samples = n;
+    } else if (flag == "--reps" && util::parse_u64_in(value, 1, kMax, n)) {
+      opt.reps = n;
     } else {
-      std::fprintf(stderr,
-                   "usage: micro_engine [--cases N] [--push-samples N] "
-                   "[--reps R]\n");
-      return 2;
+      return usage();
     }
   }
 
@@ -204,7 +209,8 @@ int main(int argc, char** argv) {
 
   std::vector<double> cases_per_s(thread_counts.size(), 0.0);
   for (std::size_t k = 0; k < thread_counts.size(); ++k) {
-    for (int rep = 0; rep < opt.reps; ++rep)  // best-of: shed scheduler noise
+    // Best of --reps runs: sheds scheduler noise.
+    for (std::size_t rep = 0; rep < opt.reps; ++rep)
       cases_per_s[k] =
           std::max(cases_per_s[k], run_once(opt.cases, thread_counts[k]));
     std::printf("threads %2zu: %12.0f cases/s\n", thread_counts[k],
@@ -214,37 +220,23 @@ int main(int argc, char** argv) {
   std::printf("max-threads vs 1-thread: %.2fx (%zu hardware threads)\n",
               speedup, hw);
 
-  const char* path = std::getenv("BENCH_ENGINE_JSON");
-  if (path == nullptr) path = "BENCH_engine.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"micro_engine\",\n"
-               "  \"cases\": %zu,\n"
-               "  \"hardware_threads\": %zu,\n"
-               "  \"push_p50_ns\": %.1f,\n"
-               "  \"push_p99_ns\": %.1f,\n"
-               "  \"threads\": [\n",
-               opt.cases, hw, push.p50_ns, push.p99_ns);
+  bench::Report report("engine");
+  report.count("cases", opt.cases)
+      .count("hardware_threads", hw)
+      .num("push_p50_ns", push.p50_ns, 1)
+      .num("push_p99_ns", push.p99_ns, 1)
+      .array("threads");
   for (std::size_t k = 0; k < thread_counts.size(); ++k)
-    std::fprintf(f, "    {\"threads\": %zu, \"cases_per_s\": %.1f}%s\n",
-                 thread_counts[k], cases_per_s[k],
-                 k + 1 < thread_counts.size() ? "," : "");
-  std::fprintf(f,
-               "  ],\n"
-               "  \"speedup_max_vs_1\": %.3f,\n"
-               "  \"reorder\": {\n"
-               "    \"block\": %zu,\n"
-               "    \"cases\": %zu,\n"
-               "    \"cases_per_s\": %.1f\n"
-               "  }\n"
-               "}\n",
-               speedup, reorder.block, reorder.cases, reorder.cases_per_s);
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return 0;
+    report.object()
+        .count("threads", thread_counts[k])
+        .num("cases_per_s", cases_per_s[k], 1)
+        .end();
+  report.end()
+      .num("speedup_max_vs_1", speedup)
+      .object("reorder")
+      .count("block", reorder.block)
+      .count("cases", reorder.cases)
+      .num("cases_per_s", reorder.cases_per_s, 1)
+      .end();
+  return report.write();
 }

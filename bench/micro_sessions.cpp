@@ -11,9 +11,8 @@
 // release-time watermark trim has something to reclaim; the run fails
 // unless trimmed bytes are observed.
 //
-// Writes BENCH_sessions.json (path overridable with the BENCH_SESSIONS_JSON
-// env var) and exits nonzero on verify mismatch, RSS growth past the
-// tolerance, or a cold pool (hit rate below 0.99).
+// Writes BENCH_sessions.json and exits nonzero on verify mismatch, RSS
+// growth past the tolerance, or a cold pool (hit rate below 0.99).
 //
 //   usage: micro_sessions [--sessions K] [--packets N] [--payload B]
 //                         [--rss-tol FRAC]
@@ -23,15 +22,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
+#include <limits>
+#include <string_view>
 #include <vector>
 
 #include "channel/erasure.h"
 #include "channel/rng.h"
 #include "core/session.h"
 #include "net/medium.h"
+#include "report.h"
 #include "runtime/object_pool.h"
 #include "runtime/seed.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -157,41 +159,24 @@ int run_bench(const Options& opt) {
   const runtime::PoolCounters sc = sessions.stats().snapshot();
   const double rate = wall_s > 0.0 ? completed / wall_s : 0.0;
 
-  const char* path = std::getenv("BENCH_SESSIONS_JSON");
-  if (path == nullptr) path = "BENCH_sessions.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"micro_sessions\",\n"
-               "  \"sessions\": %zu,\n"
-               "  \"completed\": %zu,\n"
-               "  \"with_nonzero_secret\": %zu,\n"
-               "  \"verified_vs_fresh\": %zu,\n"
-               "  \"x_packets_per_round\": %zu,\n"
-               "  \"payload_bytes\": %zu,\n"
-               "  \"sessions_per_s\": %.1f,\n"
-               "  \"wall_s\": %.2f,\n"
-               "  \"pool_acquired\": %llu,\n"
-               "  \"pool_constructed\": %llu,\n"
-               "  \"pool_hit_rate\": %.6f,\n"
-               "  \"arena_trimmed_bytes\": %llu,\n"
-               "  \"arena_capacity_bytes\": %zu,\n"
-               "  \"rss_mid_kb\": %zu,\n"
-               "  \"rss_final_kb\": %zu,\n"
-               "  \"rss_growth_final_half_frac\": %.6f\n"
-               "}\n",
-               opt.sessions, completed, with_secret, verified, opt.packets,
-               opt.payload, rate, wall_s,
-               static_cast<unsigned long long>(sc.acquired),
-               static_cast<unsigned long long>(sc.constructed),
-               sc.hit_rate(),
-               static_cast<unsigned long long>(arenas.trimmed_bytes()),
-               arenas.capacity(), rss_mid, rss_final, rss_growth);
-  std::fclose(f);
+  bench::Report report("sessions");
+  report.count("sessions", opt.sessions)
+      .count("completed", completed)
+      .count("with_nonzero_secret", with_secret)
+      .count("verified_vs_fresh", verified)
+      .count("x_packets_per_round", opt.packets)
+      .count("payload_bytes", opt.payload)
+      .num("sessions_per_s", rate, 1)
+      .num("wall_s", wall_s, 2)
+      .count("pool_acquired", sc.acquired)
+      .count("pool_constructed", sc.constructed)
+      .num("pool_hit_rate", sc.hit_rate(), 6)
+      .count("arena_trimmed_bytes", arenas.trimmed_bytes())
+      .count("arena_capacity_bytes", arenas.capacity())
+      .count("rss_mid_kb", rss_mid)
+      .count("rss_final_kb", rss_final)
+      .num("rss_growth_final_half_frac", rss_growth, 6);
+  if (report.write() != 0) return 1;
 
   std::fprintf(stderr,
                "micro_sessions: %zu cycles, %.0f sessions/s, %.2fs wall, "
@@ -222,29 +207,35 @@ int run_bench(const Options& opt) {
   return ok ? 0 : 1;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: micro_sessions [--sessions K] [--packets N] "
+               "[--payload B] [--rss-tol FRAC]   (K, N, B >= 1; FRAC >= 0)\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    ++i;
-    if (flag == "--sessions" && value != nullptr) {
-      opt.sessions = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (flag == "--packets" && value != nullptr) {
-      opt.packets = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (flag == "--payload" && value != nullptr) {
-      opt.payload = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (flag == "--rss-tol" && value != nullptr) {
-      opt.rss_tol = std::strtod(value, nullptr);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::size_t>::max();
+  for (int i = 1; i < argc; i += 2) {
+    const std::string_view flag = argv[i];
+    if (i + 1 >= argc) return usage();
+    const std::string_view value = argv[i + 1];
+    std::uint64_t n = 0;
+    double frac = 0.0;
+    if (flag == "--sessions" && util::parse_u64_in(value, 1, kMax, n)) {
+      opt.sessions = n;
+    } else if (flag == "--packets" && util::parse_u64_in(value, 1, kMax, n)) {
+      opt.packets = n;
+    } else if (flag == "--payload" && util::parse_u64_in(value, 1, kMax, n)) {
+      opt.payload = n;
+    } else if (flag == "--rss-tol" && util::parse_nonneg_double(value, frac)) {
+      opt.rss_tol = frac;
     } else {
-      std::fprintf(stderr,
-                   "usage: micro_sessions [--sessions K] [--packets N] "
-                   "[--payload B] [--rss-tol FRAC]\n");
-      return 2;
+      return usage();
     }
   }
-  if (opt.sessions == 0 || opt.packets == 0 || opt.payload == 0) return 2;
   return run_bench(opt);
 }
