@@ -1,7 +1,10 @@
 #include "runtime/scenario_spec.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -200,12 +203,51 @@ std::size_t series_cap(const Compiled& c, const EstimatorSeries& series) {
                                     : c.spec.topology.max_placements;
 }
 
+/// The number of cases make_plan(c) yields for an unkeyed spec, counted
+/// without building anything. It saturates at kMaxSweepValues + 1:
+/// callers only compare it with the cap, and a saturated count cannot
+/// overflow.
+std::size_t case_count(const Compiled& c) {
+  static constexpr std::size_t kOver = kMaxSweepValues + 1;
+  const auto mul = [](std::size_t a, std::size_t b) {
+    return a != 0 && b > kOver / a ? kOver : std::min(a * b, kOver);
+  };
+  const ScenarioSpec& spec = c.spec;
+  if (c.placement_sweep) {
+    // Every (series, n) pair adds at least one case, so this loop stops
+    // within kOver iterations however long the lists are.
+    std::size_t total = 0;
+    for (const EstimatorSeries& series : spec.estimator.series) {
+      const std::size_t cap = series_cap(c, series);
+      for (const std::size_t n : spec.topology.n_values) {
+        const std::size_t all = testbed::placement_count(n);
+        const std::size_t placements = cap == 0 ? all : std::min(cap, all);
+        total = std::min(total + mul(placements, spec.sweep.repeats), kOver);
+        if (total == kOver) return total;
+      }
+    }
+    return total;
+  }
+  const std::size_t series = spec.estimator.series.size();
+  if (c.testbed) return mul(series, spec.sweep.repeats);
+  const std::size_t ps = std::max<std::size_t>(spec.sweep.p_values.size(), 1);
+  return mul(mul(mul(series, spec.topology.n_values.size()), ps),
+             spec.sweep.repeats);
+}
+
+[[noreturn]] void fail_too_many_cases(const ScenarioSpec& spec) {
+  fail(spec, "plan has more than " + std::to_string(kMaxSweepValues) +
+                 " cases");
+}
+
 Compiled validate(const ScenarioSpec& spec) {
   Compiled c;
   c.spec = spec;
   if (spec.name.empty()) fail(spec, "name is empty");
   if (spec.estimator.series.empty()) fail(spec, "estimator.series is empty");
   if (spec.sweep.repeats < 1) fail(spec, "sweep.repeats must be >= 1");
+  if (spec.sweep.repeats > kMaxSweepValues)
+    fail(spec, "sweep.repeats must be <= " + std::to_string(kMaxSweepValues));
   if (spec.estimator.k_antennas < 1)
     fail(spec, "estimator.k_antennas must be >= 1");
   if (spec.session.x_packets < 1) fail(spec, "session.x_packets must be >= 1");
@@ -283,6 +325,8 @@ Compiled validate(const ScenarioSpec& spec) {
     }
     c.placement_sweep = c.testbed;
   }
+  // A testbed plan is built as explicit points, one allocation per case.
+  if (c.testbed && case_count(c) > kMaxSweepValues) fail_too_many_cases(spec);
   return c;
 }
 
@@ -303,17 +347,26 @@ Compiled make_compiled(const ScenarioSpec& spec) {
       key == "name" || key == "description")
     fail(spec, "sweep.key cannot target '" + key + "'");
 
+  // Every variant adds at least one case, and the keyed plan is built as
+  // explicit points: bound the values before compiling any variant.
+  if (spec.sweep.values.size() > kMaxSweepValues) fail_too_many_cases(spec);
+
   Compiled c;
   c.spec = spec;
   c.key = key;
-  for (std::size_t i = 0; i < spec.sweep.values.size(); ++i) {
-    const double value = spec.sweep.values[i];
-    for (std::size_t j = 0; j < i; ++j)
-      if (spec.sweep.values[j] == value)
-        fail(spec, "sweep.values has duplicate " + format_double(value));
-    ScenarioSpec variant = spec;
-    variant.sweep.key.clear();
-    variant.sweep.values.clear();
+  // Copied once per value, so it must not carry the values itself.
+  ScenarioSpec unkeyed = spec;
+  unkeyed.sweep.key.clear();
+  unkeyed.sweep.values.clear();
+  std::set<double> seen;
+  std::size_t cases = 0;
+  for (const double value : spec.sweep.values) {
+    // Cases find their variant by exact comparison, which a NaN never
+    // passes.
+    if (!std::isfinite(value)) fail(spec, "sweep.values must be finite");
+    if (!seen.insert(value).second)
+      fail(spec, "sweep.values has duplicate " + format_double(value));
+    ScenarioSpec variant = unkeyed;
     try {
       // The same path/value syntax as `--set key=value`, so exactly the
       // keys an override can reach are sweepable — and a value the key
@@ -322,8 +375,10 @@ Compiled make_compiled(const ScenarioSpec& spec) {
     } catch (const SpecError& e) {
       fail(spec, "sweep.key: " + std::string(e.what()));
     }
-    c.variants.push_back(
-        {value, std::make_shared<const Compiled>(make_compiled(variant))});
+    auto compiled = std::make_shared<const Compiled>(make_compiled(variant));
+    cases += case_count(*compiled);
+    if (cases > kMaxSweepValues) fail_too_many_cases(spec);
+    c.variants.push_back({value, std::move(compiled)});
   }
   return c;
 }

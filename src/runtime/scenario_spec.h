@@ -221,6 +221,12 @@ struct ScenarioSpec {
   ScenarioSpec& with_analytic(bool on = true);
 };
 
+/// The most values one sweep may materialise: the values of one range in
+/// a spec file, sweep.repeats, and the cases of a plan built from explicit
+/// points (placement sweeps, explicit-placement repetitions, sweep.key
+/// variants). Past it, a typo is a diagnostic, not a multi-GB allocation.
+inline constexpr std::size_t kMaxSweepValues = std::size_t{1} << 20;
+
 /// Validate `spec` and compile it into a runnable Scenario. The returned
 /// Scenario carries a copy of the spec (Scenario::spec), keeps the
 /// engine's purity contract, and throws nothing at run time that compile

@@ -142,20 +142,15 @@ std::vector<std::string> split_items(const std::string& path,
 }
 
 /// Doubles with range sugar: each item is a number or "lo:hi:step"
-/// (inclusive, step > 0) or "lo..hi" (integers, step 1).
-// A range bigger than this is a typo ('3..4000000000'), and catching it
-// here turns a multi-GB allocation into a diagnostic.
-constexpr double kMaxRangeValues = 1 << 20;
-
+/// (inclusive, step > 0) or "lo..hi" (integers, step 1). A range of more
+/// than kMaxSweepValues values is a typo ('3..4000000000').
 std::vector<double> parse_number_list(const std::string& path,
                                       std::string_view text) {
   std::vector<double> out;
   const auto check_count = [&](const std::string& item, double count) {
-    if (count > kMaxRangeValues)
+    if (count > static_cast<double>(kMaxSweepValues))
       fail(path, "range '" + item + "' expands to more than " +
-                     std::to_string(static_cast<std::size_t>(
-                         kMaxRangeValues)) +
-                     " values");
+                     std::to_string(kMaxSweepValues) + " values");
   };
   for (const std::string& item : split_items(path, text)) {
     if (const std::size_t dots = item.find(".."); dots != std::string::npos &&
@@ -199,7 +194,8 @@ std::vector<std::size_t> parse_integer_list(const std::string& path,
                                             std::string_view text) {
   std::vector<std::size_t> out;
   for (const double v : parse_number_list(path, text)) {
-    if (v < 0.0 || v != std::floor(v))
+    // A cast from 2^64 and up, or from infinity, is undefined.
+    if (!(v >= 0.0 && v < 0x1p64) || v != std::floor(v))
       fail(path, "expected non-negative integers");
     out.push_back(static_cast<std::size_t>(v));
   }

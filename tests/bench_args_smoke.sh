@@ -50,10 +50,6 @@ expect_usage micro_daemon --deadline -1
 expect_usage micro_daemon --deadline inf
 expect_usage micro_daemon --deadline 1e300
 
-expect_usage micro_dist --cases 0
-expect_usage micro_dist --cases 1e3
-expect_usage micro_dist --binary
-
 expect_usage micro_gf --reps 3
 
 [ "$failures" -eq 0 ] || exit 1

@@ -12,9 +12,7 @@ struct RawHeader {
 
 int classify(std::span<const std::uint8_t> datagram) {
   if (datagram.size() < 6) return -1;
-  // finding: reinterpret_cast framing (also unaligned/endian-unsafe)
-  const auto* h = reinterpret_cast<const RawHeader*>(datagram.data());
+  const auto* h = reinterpret_cast<const RawHeader*>(datagram.data());  // finding
   if (h->magic != 0x54414EDFu) return -1;
-  // finding: raw byte picking out of the datagram buffer
-  return datagram[4] | (datagram[5] << 8);
+  return datagram[4] | (datagram[5] << 8);  // finding: raw byte picking
 }

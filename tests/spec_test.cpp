@@ -4,6 +4,7 @@
 // scenarios (byte-identical NDJSON at 1 vs 8 threads).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "runtime/engine.h"
@@ -96,10 +97,27 @@ TEST(SpecParse, RangeEndpointsClampAndHugeRangesAreRejected) {
   EXPECT_EQ(spec.sweep.p_values.front(), 0.0);
   EXPECT_EQ(spec.sweep.p_values.back(), 1.0);
 
-  // A typo'd range is a diagnostic, not a multi-GB allocation.
+  // A typo'd range is a diagnostic, not a multi-GB allocation. The cap is
+  // kMaxSweepValues, the one compile() holds repeats and plans to.
   EXPECT_THROW((void)parse_spec("[topology]\nn = 3..4000000000\n"),
                SpecError);
   EXPECT_THROW((void)parse_spec("[sweep]\np = 0:1:1e-9\n"), SpecError);
+  EXPECT_EQ(parse_spec("[topology]\nn = 1..1048576\n").topology.n_values.size(),
+            kMaxSweepValues);
+  EXPECT_THROW((void)parse_spec("[topology]\nn = 1..1048577\n"), SpecError);
+  // An integer list value must fit std::size_t before it is cast.
+  EXPECT_THROW((void)parse_spec("[topology]\nn = [3, 1e308]\n"), SpecError);
+
+  // A repeat count is one number, so the parser takes it; compile() is
+  // what bounds it, for parsed, --set and code-built specs alike.
+  const ScenarioSpec huge =
+      parse_spec("name = \"x\"\n[sweep]\nrepeats = 4294967296\n");
+  try {
+    (void)compile(huge);
+    ADD_FAILURE() << "compile accepted 2^32 repeats";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "x: sweep.repeats must be <= 1048576");
+  }
 }
 
 // ---------------------------------------------------- golden error output
@@ -254,6 +272,36 @@ TEST(SpecCompile, RejectsInconsistentSpecs) {
   spec = small_iid_spec();
   spec.estimator.k_antennas = 0;
   expect_compile_error(spec, "estimator.k_antennas must be >= 1");
+
+  // Sizes compile() must refuse before any plan is built. Each of these
+  // once compiled, leaving run_scenario to build millions of explicit
+  // points or fail with std::bad_alloc.
+  expect_compile_error(fig1_spec().with_repeats(4294967296),
+                       "sweep.repeats must be <= 1048576");
+  expect_compile_error(headline_spec().with_repeats(4294967296),
+                       "sweep.repeats must be <= 1048576");
+  // 567 placement cases x 20000 repeats, each an explicit point.
+  expect_compile_error(fig2_spec().with_repeats(20000),
+                       "plan has more than 1048576 cases");
+  expect_compile_error(fig2_spec().with_repeats(200000),
+                       "plan has more than 1048576 cases");
+  // One explicit placement, 2 series x 2^20 repeats.
+  expect_compile_error(
+      fig2_spec().at_cells({0, 1, 2}, 8).with_repeats(kMaxSweepValues),
+      "plan has more than 1048576 cases");
+  // Each variant is 36 x 20000 = 720000 cases, the keyed plan twice that.
+  expect_compile_error(
+      fig1_spec().sweep_key("session.x_packets", {20, 30}).with_repeats(20000),
+      "plan has more than 1048576 cases");
+  // A NaN key value compiles to a variant no case can find.
+  expect_compile_error(
+      fig1_spec().sweep_key("estimator.safety", {0.5, std::nan("")}),
+      "sweep.values must be finite");
+
+  // The cap is inclusive, and a placement-free plan is decoded on demand,
+  // so its case count is not bounded by it.
+  EXPECT_EQ(compile(fig1_spec().with_repeats(kMaxSweepValues)).plan().size(),
+            36 * kMaxSweepValues);
 }
 
 // ------------------------------------------------- compiled scenario shape

@@ -62,7 +62,7 @@ def is_number(x):
 def report(base, fresh, path=""):
     """Print every number in `fresh` with its change vs the snapshot's
     number at the same place. List entries pair up by their first field (a
-    kernel's name, a thread or worker count)."""
+    kernel's name, a thread count)."""
     if isinstance(fresh, dict):
         for key, value in fresh.items():
             if key != "host":
@@ -171,43 +171,6 @@ ENGINE = Bench(
                                 speedup_max_vs_1=1.0)),
     ])
 
-# ---------------------------------------------------------------- dist
-# Deliberately no scaling gate: on a one-core runner 4 workers time-slice
-# one CPU and fork/IPC overhead makes the fan-out slower than 1 worker.
-# micro_dist itself exits nonzero unless every fan-out's NDJSON matched
-# the single-process bytes.
-DIST = Bench(
-    keys=("cases", "byte_identical", "runs"),
-    tolerance=None,
-    rules=[
-        Rule(lambda b, f, t: f["byte_identical"] is not True
-             and "byte_identical is not true: the fan-out changed output bytes",
-             lambda d: d.update(byte_identical=False)),
-        Rule(lambda b, f, t: not f["runs"] and "empty worker sweep",
-             lambda d: d["runs"].clear()),
-        Rule(lambda b, f, t: f["cases"] <= 0 and "non-positive case count",
-             lambda d: d.update(cases=0)),
-        Rule(lambda b, f, t: lost(f["runs"], ("workers", "wall_s",
-                                              "cases_per_s", "shards",
-                                              "shard_p50_ms", "shard_p99_ms"),
-                                  "run entry"),
-             lambda d: d["runs"][0].pop("shard_p99_ms")),
-        Rule(lambda b, f, t: first(
-                 f["runs"], lambda r: r["cases_per_s"] <= 0,
-                 lambda r: f"non-positive cases/s at {r['workers']} worker(s)"),
-             lambda d: d["runs"][0].update(cases_per_s=0)),
-        Rule(lambda b, f, t: first(
-                 f["runs"], lambda r: r["shards"] <= 0,
-                 lambda r: f"no completed shards at {r['workers']} worker(s)"),
-             lambda d: d["runs"][0].update(shards=0)),
-        Rule(lambda b, f, t: first(
-                 f["runs"], lambda r: r["shard_p50_ms"] > r["shard_p99_ms"],
-                 lambda r: f"shard p50 > p99 at {r['workers']} worker(s): "
-                           "percentiles malformed"),
-             lambda d: d["runs"][0].update(
-                 shard_p50_ms=d["runs"][0]["shard_p99_ms"] + 1)),
-    ])
-
 # ------------------------------------------------------------ sessions
 MIN_HIT_RATE = 0.99
 MAX_RSS_GROWTH = 0.05
@@ -278,7 +241,7 @@ DAEMON = Bench(
                  p50_time_to_key_ms=d["p99_time_to_key_ms"] + 1)),
     ])
 
-BENCHES = {"micro_gf": GF, "micro_engine": ENGINE, "micro_dist": DIST,
+BENCHES = {"micro_gf": GF, "micro_engine": ENGINE,
            "micro_sessions": SESSIONS, "micro_daemon": DAEMON}
 
 

@@ -157,37 +157,6 @@ bool parse_run_args(int argc, char** argv, RunArgs& args) {
                      v == nullptr ? "(missing)" : v);
         return false;
       }
-    } else if (flag == "--workers") {
-      std::uint64_t n = 0;
-      const char* v = value();
-      // Same ceiling as threads: more local processes than that is a typo.
-      if (v == nullptr ||
-          !util::parse_u64_in(v, 0, runtime::kMaxRunThreads, n)) {
-        std::fprintf(stderr,
-                     "--workers %s: want an integer in [0, %zu] "
-                     "(0 = in-process engine)\n",
-                     v == nullptr ? "(missing)" : v, runtime::kMaxRunThreads);
-        return false;
-      }
-      args.workers = n;
-    } else if (flag == "--shard-size") {
-      std::uint64_t n = 0;
-      const char* v = value();
-      if (!parse_u64(v, n)) return bad_number(v);
-      args.shard_size = n;
-    } else if (flag == "--shard-timeout") {
-      const char* v = value();
-      if (v == nullptr || !util::parse_nonneg_double(v, args.shard_timeout_s))
-        return bad_number(v);
-    } else if (flag == "--listen") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.listen = v;
-    } else if (flag == "--test-kill-worker-after") {
-      std::uint64_t n = 0;
-      const char* v = value();
-      if (!parse_u64(v, n)) return bad_number(v);
-      args.test_kill_worker_after = n;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -228,7 +197,7 @@ bool open_ndjson(const std::string& out, std::ofstream& file,
 void print_run_tail(const runtime::Scenario& scenario,
                     const runtime::ResultSink& sink,
                     const runtime::RunStats& stats, bool quiet,
-                    bool ndjson_to_stdout, const char* unit) {
+                    bool ndjson_to_stdout) {
   if (!quiet && !ndjson_to_stdout) {
     std::printf("%s — %s\n\n", scenario.name.c_str(),
                 scenario.description.c_str());
@@ -239,9 +208,8 @@ void print_run_tail(const runtime::Scenario& scenario,
                  "warning: --limit truncated %s: ran %zu of %zu cases; "
                  "group summaries are partial\n",
                  scenario.name.c_str(), stats.cases, stats.plan_cases);
-  std::fprintf(stderr, "%zu cases on %zu %s(s) in %.2fs (%.1f cases/s)\n",
-               stats.cases, stats.threads, unit, stats.wall_s,
-               stats.cases_per_s());
+  std::fprintf(stderr, "%zu cases on %zu thread(s) in %.2fs (%.1f cases/s)\n",
+               stats.cases, stats.threads, stats.wall_s, stats.cases_per_s());
 }
 
 }  // namespace thinair::tools

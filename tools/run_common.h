@@ -1,11 +1,8 @@
 #pragma once
-// Shared scenario-selection and run-flag parsing for the thinair CLI:
-// `run` and `sweep-master` accept the same surface (NAME | --spec FILE,
-// --set overrides, --seed/--threads/--limit/--out/...), so the argument
-// grammar and the spec-resolution pipeline live here once. Split out of
-// thinair_cli.cpp when the distributed commands landed.
+// Scenario selection and run-flag parsing for the thinair CLI: `run` and
+// `describe` name a scenario the same way (NAME | --spec FILE, --set
+// overrides), and `run` adds --seed/--threads/--limit/--out/...
 
-#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -30,7 +27,7 @@ struct SpecArgs {
 /// overrides. Prints the failure to stderr and returns nullopt on error.
 std::optional<runtime::Scenario> resolve_scenario(const SpecArgs& args);
 
-/// Shared by run/describe/sweep-master: scenario NAME / --spec / --set.
+/// Shared by run/describe: scenario NAME / --spec / --set.
 /// Returns -1 when `flag` is not a spec-selection argument, 0 on
 /// success, 1 on error (already reported).
 int parse_spec_arg(SpecArgs& args, const std::string& flag,
@@ -45,15 +42,6 @@ struct RunArgs {
   // seed/threads only when the corresponding flag is absent (flags win).
   bool seed_given = false;
   bool threads_given = false;
-
-  // -- distributed-run surface --
-  std::size_t workers = 0;      // --workers N; 0 = single-process engine
-  std::uint64_t shard_size = 0;  // --shard-size; 0 = auto
-  double shard_timeout_s = 300.0;  // --shard-timeout SECONDS; 0 = off
-  std::string listen;           // --listen HOST:PORT (sweep-master only)
-  /// Hidden test hook: worker 0 exits mid-shard after K records, so the
-  /// smoke tests exercise reassignment deterministically.
-  std::size_t test_kill_worker_after = 0;
 };
 
 /// Parse run-style flags into `args`. Returns false (after reporting to
@@ -72,13 +60,11 @@ runtime::RunOptions pinned_options(const runtime::Scenario& scenario,
 bool open_ndjson(const std::string& out, std::ofstream& file,
                  std::ostream*& ndjson);
 
-/// The post-run tail every run-like command prints: summary table
-/// (unless quiet or NDJSON went to stdout), truncation warning, and the
-/// timing line with `unit` ("thread" for the engine, "worker process"
-/// for distributed runs).
+/// The post-run tail `run` prints: summary table (unless quiet or NDJSON
+/// went to stdout), truncation warning, and the timing line.
 void print_run_tail(const runtime::Scenario& scenario,
                     const runtime::ResultSink& sink,
                     const runtime::RunStats& stats, bool quiet,
-                    bool ndjson_to_stdout, const char* unit);
+                    bool ndjson_to_stdout);
 
 }  // namespace thinair::tools

@@ -3,7 +3,6 @@
 //
 //   $ thinair list
 //   $ thinair run fig2 --threads 8 --seed 42 --out fig2.ndjson
-//   $ thinair run fig2 --workers 4 --out fig2.ndjson
 //   $ thinair run fig2 --set channel.interference=off --limit 20
 //   $ thinair run --spec examples/specs/fig2_iid.toml --out -
 //   $ thinair describe headline
@@ -12,14 +11,11 @@
 // file (--spec), or either with dotted-path overrides (--set key=value) —
 // on the shared-cursor engine and writes one NDJSON line per case to
 // --out ("-" = stdout), then prints per-group summary aggregates. Output
-// is bit-identical for any --threads value AND any --workers value:
-// case seeds derive from (--seed, case index) and rows are emitted in
-// case-index order. --workers N runs the sweep across N forked worker
-// processes (docs/distributed.md); sweep-master/sweep-worker are the
-// multi-machine flavour of the same split. Timing goes to stderr so
-// stdout stays byte-comparable across runs. `describe` dumps the
-// resolved spec back out in spec-file syntax (a parse round-trip), and
-// `list` shows each scenario's parameter axes.
+// is bit-identical for any --threads value: case seeds derive from
+// (--seed, case index) and rows are emitted in case-index order. Timing
+// goes to stderr so stdout stays byte-comparable across runs. `describe`
+// dumps the resolved spec back out in spec-file syntax (a parse
+// round-trip), and `list` shows each scenario's parameter axes.
 
 #include <cstdio>
 #include <cstdlib>
@@ -28,8 +24,6 @@
 #include <optional>
 #include <string>
 
-#include "dist_cmd.h"
-#include "dist/runner.h"
 #include "gf/kernels.h"
 #include "netd_cmd.h"
 #include "run_common.h"
@@ -48,19 +42,16 @@ int usage(const char* argv0) {
       "usage: %s list\n"
       "       %s describe NAME|--spec FILE [--set key=value]...\n"
       "       %s run NAME|--spec FILE [--set key=value]...\n"
-      "           [--threads N | --workers N] [--seed S] [--out FILE|-]\n"
-      "           [--limit K] [--quiet] [--shard-size K]\n"
+      "           [--threads N] [--seed S] [--out FILE|-]\n"
+      "           [--limit K] [--quiet]\n"
       "           [--kernel scalar|portable|ssse3|avx2|gfni|auto]\n"
       "       %s kernels\n",
       argv0, argv0, argv0, argv0);
   tools::netd_usage(argv0);
-  tools::dist_usage(argv0);
   std::fprintf(
       stderr,
       "--spec runs a scenario composed in a spec file (docs/scenarios.md);\n"
       "--set overrides one spec key by dotted path, e.g. channel.p=0.3.\n"
-      "--workers N forks N local worker processes; output is byte-identical\n"
-      "to any --threads run (docs/distributed.md).\n"
       "--kernel (or THINAIR_GF_KERNEL) retargets the GF(2^8) bulk kernels;\n"
       "output is byte-identical across kernels.\n"
       "serve/client run a live key agreement over UDP (docs/daemon.md).\n");
@@ -107,10 +98,6 @@ int cmd_list() {
 }
 
 int cmd_run(const tools::RunArgs& args) {
-  if (!args.listen.empty()) {
-    std::fprintf(stderr, "--listen belongs to sweep-master, not run\n");
-    return 2;
-  }
   const std::optional<runtime::Scenario> scenario =
       tools::resolve_scenario(args.spec);
   if (!scenario.has_value()) return 1;
@@ -123,18 +110,7 @@ int cmd_run(const tools::RunArgs& args) {
   runtime::ResultSink sink(scenario->name, ndjson);
   runtime::RunStats stats;
   try {
-    if (args.workers > 0) {
-      dist::MasterTuning tuning;
-      tuning.shard_size = args.shard_size;
-      tuning.shard_timeout_s = args.shard_timeout_s;
-      dist::LocalSpawnOptions spawn;
-      spawn.workers = args.workers;
-      spawn.kill_worker0_after_records = args.test_kill_worker_after;
-      stats = dist::run_distributed_local(*scenario, options, tuning, spawn,
-                                          sink);
-    } else {
-      stats = runtime::run_scenario(*scenario, options, sink);
-    }
+    stats = runtime::run_scenario(*scenario, options, sink);
   } catch (const std::exception& e) {
     // The engine funnels worker exceptions back to this thread; report
     // them as an error instead of letting main() terminate.
@@ -143,8 +119,7 @@ int cmd_run(const tools::RunArgs& args) {
   }
 
   tools::print_run_tail(*scenario, sink, stats, args.quiet,
-                        ndjson == &std::cout,
-                        args.workers > 0 ? "worker" : "thread");
+                        ndjson == &std::cout);
   return 0;
 }
 
@@ -195,14 +170,6 @@ int main(int argc, char** argv) {
   }
   if (command == "client") {
     const int rc = tools::cmd_client(argc - 2, argv + 2);
-    return rc == 2 ? usage(argv[0]) : rc;
-  }
-  if (command == "sweep-master") {
-    const int rc = tools::cmd_sweep_master(argc - 2, argv + 2);
-    return rc == 2 ? usage(argv[0]) : rc;
-  }
-  if (command == "sweep-worker") {
-    const int rc = tools::cmd_sweep_worker(argc - 2, argv + 2);
     return rc == 2 ? usage(argv[0]) : rc;
   }
   return usage(argv[0]);

@@ -24,13 +24,12 @@ depends on, but that no general-purpose tool knows to look for:
   raw-alloc-hot-path    Payload memory in the per-round hot paths comes
                         from PayloadArena bumps; raw new/malloc there
                         defeats the arena and fragments the round loop.
-  netd-wire-decode      Daemon and distributed-sweep code consume wire
-                        bytes only through a total decoder (netd/wire.h's
-                        decode(), dist/frame.h's decode_frame) plus the
-                        socket wrappers (netd/udp, dist/stream). Ad-hoc
-                        byte picking or reinterpret_cast framing bypasses
-                        the validated parse that the anti-spoofing and
-                        fault-tolerance arguments rest on.
+  netd-wire-decode      Daemon code consumes datagram bytes only through
+                        the total decoder (netd/wire.h's decode()) plus
+                        the socket wrappers (netd/udp). Ad-hoc byte
+                        picking or reinterpret_cast framing bypasses the
+                        validated parse that the anti-spoofing argument
+                        rests on.
 
 Usage:
   thinair_lint.py --compile-commands build/compile_commands.json
@@ -44,7 +43,8 @@ unit CMake builds, plus all headers under src/. Findings print as
 Suppression: append "// thinair-lint: allow(<rule>)" to the offending
 line. Use sparingly and justify in an adjacent comment, exactly like a
 NOLINT. The fixture suite (tests/lint_fixtures/) proves via --self-test
-that every rule fires on known-bad code and stays quiet on clean code.
+that every rule fires on exactly the lines of known-bad code marked
+"// finding" and stays quiet on clean code.
 """
 
 from __future__ import annotations
@@ -338,19 +338,10 @@ RULES = [
     Rule(
         "netd-wire-decode",
         rule_netd_wire_decode,
-        # The distributed-sweep subsystem adopts the same discipline: IO
-        # drivers and the master/worker cores handle decoded Frame
-        # values, never raw stream indices.
-        scope=[r"^src/netd/", r"^src/dist/"],
-        # wire.cpp and dist/frame.cpp ARE the decoders; udp.{h,cpp} and
-        # dist/stream.{h,cpp} wrap the socket syscalls whose sockaddr
-        # API requires reinterpret_cast.
-        exclude=[
-            r"^src/netd/wire\.(h|cpp)$",
-            r"^src/netd/udp\.(h|cpp)$",
-            r"^src/dist/frame\.(h|cpp)$",
-            r"^src/dist/stream\.(h|cpp)$",
-        ],
+        scope=[r"^src/netd/"],
+        # wire.cpp IS the decoder; udp.{h,cpp} wraps the socket syscalls
+        # whose sockaddr API requires reinterpret_cast.
+        exclude=[r"^src/netd/wire\.(h|cpp)$", r"^src/netd/udp\.(h|cpp)$"],
     ),
 ]
 
@@ -414,13 +405,30 @@ def gather_files(args, repo_root: Path) -> list[Path]:
     return in_scope
 
 
+_MARKER_RE = re.compile(r"//\s*finding\b")
+
+
+def marked_lines(path: Path) -> set[int]:
+    """Lines of a fixture that carry a '// finding' marker."""
+    text = path.read_text(encoding="utf-8", errors="replace")
+    return {
+        lineno
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if _MARKER_RE.search(line)
+    }
+
+
 def run_self_test(fixtures_dir: Path) -> int:
-    """Prove each rule fires on bad_* fixtures and stays quiet on clean_*.
+    """Prove each rule fires on exactly the marked lines of its fixtures.
 
     Fixture layout: <fixtures_dir>/<rule-name>/{bad_*.cpp,clean_*.cpp}; a
     fixture's own header (same stem, .h) is read as in a project lint.
-    Path scoping is bypassed — each fixture is checked against exactly its
-    directory's rule, so the fixtures test detection, not scoping.
+    A bad_* fixture marks each line the rule must fire on with a
+    "// finding" comment; a clean_* fixture has no marker. The rule's
+    findings must land on exactly the marked lines: a miss, or a finding
+    on an unmarked line, fails. Path scoping is bypassed — each fixture is
+    checked against exactly its directory's rule, so the fixtures test
+    detection, not scoping.
     """
     failures = 0
     checked = 0
@@ -439,25 +447,31 @@ def run_self_test(fixtures_dir: Path) -> int:
             continue
         for fix in fixtures:
             checked += 1
-            rel = fix.name
-            found = lint_file(fix, rel, only_rule=rule_name)
-            if fix.name.startswith("bad_"):
-                if not found:
-                    print(f"FAIL {rule_name}/{fix.name}: expected a finding, got none")
-                    failures += 1
-                else:
-                    print(f"ok   {rule_name}/{fix.name}: fired {len(found)}x")
-            elif fix.name.startswith("clean_"):
-                if found:
-                    print(f"FAIL {rule_name}/{fix.name}: expected clean, got:")
-                    for _, line, rname, msg in found:
-                        print(f"       {fix.name}:{line}: [{rname}] {msg}")
-                    failures += 1
-                else:
-                    print(f"ok   {rule_name}/{fix.name}: quiet")
-            else:
+            bad = fix.name.startswith("bad_")
+            if not bad and not fix.name.startswith("clean_"):
                 print(f"FAIL {rule_dir}: unrecognised fixture name {fix.name}")
                 failures += 1
+                continue
+            found = lint_file(fix, fix.name, only_rule=rule_name)
+            fired = {line for _, line, _, _ in found}
+            marked = marked_lines(fix)
+            if bad and not marked:
+                problem = "a bad_ fixture needs at least one '// finding' line"
+            elif not bad and marked:
+                problem = "a clean_ fixture carries a '// finding' marker"
+            elif fired != marked:
+                problem = (
+                    f"missed marked lines {sorted(marked - fired)}, "
+                    f"fired on unmarked lines {sorted(fired - marked)}"
+                )
+            else:
+                outcome = f"fired on its {len(fired)} marked line(s)" if bad else "quiet"
+                print(f"ok   {rule_name}/{fix.name}: {outcome}")
+                continue
+            print(f"FAIL {rule_name}/{fix.name}: {problem}")
+            for _, line, rname, msg in found:
+                print(f"       {fix.name}:{line}: [{rname}] {msg}")
+            failures += 1
     missing = set(RULES_BY_NAME) - {
         p.name for p in fixtures_dir.iterdir() if p.is_dir()
     }
