@@ -13,27 +13,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
@@ -44,16 +28,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
     const std::uint64_t r = next_u64();
     if (r >= threshold) return r % bound;
   }
-}
-
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 Rng Rng::fork() { return Rng(next_u64()); }

@@ -1,9 +1,11 @@
 #include "core/phase2.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "gf/encode.h"
 #include "gf/gather.h"
+#include "gf/kernels.h"
 #include "gf/mds.h"
 
 namespace thinair::core {
@@ -15,6 +17,7 @@ packet::Announcement announcement_from(const gf::Matrix& rows) {
   a.combinations.reserve(rows.rows());
   for (std::size_t i = 0; i < rows.rows(); ++i) {
     packet::Combination combo;
+    combo.reserve(rows.cols());
     for (std::size_t j = 0; j < rows.cols(); ++j)
       combo.add(static_cast<std::uint32_t>(j), rows.at(i, j));
     a.combinations.push_back(std::move(combo));
@@ -58,13 +61,14 @@ Phase2Plan plan_phase2(std::size_t pool_size, std::size_t group_size) {
   if (m > gf::mds::kMaxColumns)
     throw std::invalid_argument("plan_phase2: pool too large for GF(2^8)");
 
-  const gf::Matrix v = gf::mds::vandermonde_square(m);
-  std::vector<std::size_t> top(m - l), bottom(l);
-  for (std::size_t i = 0; i < m - l; ++i) top[i] = i;
-  for (std::size_t i = 0; i < l; ++i) bottom[i] = m - l + i;
-  plan.h = v.select_rows(top);
-  plan.c = v.select_rows(bottom);
-  plan.z_announcement = announcement_from(plan.h);
+  // Rows 0..M-L-1 of the square Vandermonde matrix form H, the rest C.
+  plan.h = gf::Matrix(m - l, m);
+  plan.c = gf::Matrix(l, m);
+  for (std::size_t i = 0; i < m - l; ++i)
+    std::copy_n(gf::mds::vandermonde_row(i).begin(), m, plan.h.row(i).begin());
+  for (std::size_t i = 0; i < l; ++i)
+    std::copy_n(gf::mds::vandermonde_row(m - l + i).begin(), m,
+                plan.c.row(i).begin());
   plan.s_announcement = announcement_from(plan.c);
   return plan;
 }
@@ -92,53 +96,57 @@ std::vector<packet::ConstByteSpan> recover_all_y(
     if (z.size() != payload_size)
       throw std::invalid_argument("recover_all_y: z payload size mismatch");
 
-  std::vector<std::size_t> unknown;
-  for (std::size_t j = 0; j < m; ++j)
-    if (own_y[j].empty()) unknown.push_back(j);
-  if (unknown.size() > plan.h.rows())
+  std::size_t d = 0;  // unknowns
+  for (const packet::ConstByteSpan own : own_y)
+    if (own.empty()) ++d;
+  if (d > plan.h.rows())
     throw std::invalid_argument(
         "recover_all_y: more unknowns than z-packets (M_i < L?)");
 
   std::vector<packet::ConstByteSpan> y(own_y.begin(), own_y.end());
-  if (unknown.empty()) return y;
-  std::vector<std::size_t> known;
-  for (std::size_t j = 0; j < m; ++j)
-    if (!own_y[j].empty()) known.push_back(j);
+  if (d == 0) return y;
+  if (plan.h.cols() != m)
+    throw std::invalid_argument("recover_all_y: plan width != pool size");
 
-  // Residual r_i = z_i - sum_{known j} H[i][j] * y_j  =  H[:,unknown] * y_u.
-  // Only the first |unknown| z-rows feed the solve below; skip the rest.
-  // Fused on the gather side: seed each residual with its z-content, then
-  // one gather pass per residual row over the known y's.
-  std::vector<std::size_t> rows_used(unknown.size());
-  for (std::size_t i = 0; i < unknown.size(); ++i) rows_used[i] = i;
-  std::vector<packet::ByteSpan> residual(unknown.size());
-  for (std::size_t i = 0; i < unknown.size(); ++i)
-    residual[i] = arena.copy(z_payloads[i]);
-  {
-    const gf::Matrix hk =
-        plan.h.select_rows(rows_used).select_columns(known);
-    std::vector<packet::ConstByteSpan> yk;
-    yk.reserve(known.size());
-    for (std::size_t j : known) yk.push_back(own_y[j]);
-    for (std::size_t i = 0; i < residual.size(); ++i)
-      gf::gather(hk.row(i), yk, residual[i]);
+  // One pass over the first d z-rows (the only ones the solve needs)
+  // builds both sides of the repair system H[:d, unknown] * y_u = r:
+  //  - the residual r_i = z_i - sum_{known j} H[i][j] * y_j, seeded with
+  //    the z-content and fused on the gather side over the known y's;
+  //  - the arena-backed d x 2d matrix [H[:d, unknown] | I].
+  gf::Matrix system(d, 2 * d, arena);
+  std::vector<packet::ConstByteSpan> residual(d);
+  for (std::size_t i = 0; i < d; ++i) {
+    const packet::ByteSpan r = arena.copy(z_payloads[i]);
+    const std::span<const std::uint8_t> h = plan.h.row(i);
+    const std::span<std::uint8_t> row = system.row(i);
+    gf::DotBatch batch(r.data(), payload_size);
+    std::size_t u = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (own_y[j].empty()) {
+        row[u++] = h[j];
+        continue;
+      }
+      if (own_y[j].size() != payload_size)
+        throw std::invalid_argument("recover_all_y: y payload size mismatch");
+      batch.add(h[j], own_y[j].data());
+    }
+    batch.flush();
+    row[d + i] = 1;
+    residual[i] = r;
   }
 
-  // Solve the square |unknown| x |unknown| subsystem built from the first
-  // |unknown| z-rows (any such subset of Vandermonde rows 0..M-L-1
-  // restricted to |unknown| columns is invertible).
-  const gf::Matrix sub = plan.h.select_rows(rows_used).select_columns(unknown);
-  const auto inv = sub.inverse();
-  if (!inv.has_value())
+  // Reduce in place: any d of Vandermonde rows 0..M-L-1 restricted to d
+  // columns are invertible, so the left block becomes I and the right
+  // block H[:d, unknown]^-1.
+  const std::vector<std::size_t> pivots = system.row_reduce();
+  if (pivots.size() != d || pivots.back() != d - 1)
     throw std::logic_error("recover_all_y: repair system singular");
 
-  const std::vector<packet::ConstByteSpan> rc(residual.begin(),
-                                              residual.end());
-  std::vector<packet::ConstByteSpan> repaired(unknown.size());
-  for (std::size_t u = 0; u < unknown.size(); ++u)
-    repaired[u] = gf::gather(inv->row(u), rc, payload_size, arena);
-  for (std::size_t u = 0; u < unknown.size(); ++u)
-    y[unknown[u]] = repaired[u];
+  std::size_t u = 0;
+  for (std::size_t j = 0; j < m; ++j)
+    if (own_y[j].empty())
+      y[j] = gf::gather(system.row(u++).subspan(d), residual, payload_size,
+                        arena);
   return y;
 }
 

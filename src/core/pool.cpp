@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "gf/mds.h"
@@ -98,6 +99,18 @@ net::NodeSet exempt_set(packet::NodeId alice,
   return s;
 }
 
+/// Row `row` of the |chunk|-column Vandermonde generator as a combination
+/// over the chunk's x-indices.
+packet::Combination mds_row(std::size_t row,
+                            std::span<const std::uint32_t> chunk) {
+  const std::span<const std::uint8_t> coeffs = gf::mds::vandermonde_row(row);
+  packet::Combination combo;
+  combo.reserve(chunk.size());
+  for (std::size_t col = 0; col < chunk.size(); ++col)
+    combo.add(chunk[col], gf::GF256(coeffs[col]));
+  return combo;
+}
+
 /// Per-terminal ceilings: the paper's M_i estimate for each receiver.
 std::vector<std::size_t> terminal_ceilings(const ReceptionTable& table,
                                            const EveBoundEstimator& est) {
@@ -120,12 +133,16 @@ void build_class_shared(const ReceptionTable& table,
     return static_cast<std::size_t>(it - receivers.begin());
   };
 
+  // Scratch reused across classes: only capacity survives.
+  std::vector<std::size_t> member_idx;
+  std::vector<std::uint32_t> chunk;
+
   // Classes arrive most-shared first so widely shared packets fill the
   // ceilings before narrowly shared ones.
   for (const ReceptionTable::Class& cls : table.classes()) {
     net::NodeSet exempt;
     exempt.insert(table.alice());
-    std::vector<std::size_t> member_idx;
+    member_idx.clear();
     for (packet::NodeId r : receivers)
       if (cls.members.contains(r)) {
         exempt.insert(r);
@@ -142,9 +159,8 @@ void build_class_shared(const ReceptionTable& table,
          begin += gf::mds::kMaxColumns) {
       const std::size_t end =
           std::min(begin + gf::mds::kMaxColumns, cls.indices.size());
-      const std::vector<std::uint32_t> chunk(
-          cls.indices.begin() + static_cast<std::ptrdiff_t>(begin),
-          cls.indices.begin() + static_cast<std::ptrdiff_t>(end));
+      chunk.assign(cls.indices.begin() + static_cast<std::ptrdiff_t>(begin),
+                   cls.indices.begin() + static_cast<std::ptrdiff_t>(end));
 
       const std::size_t cap = estimator.missed_within(chunk, exempt);
       const std::size_t pool_budget = kPoolLimit - result.pool.size();
@@ -165,13 +181,8 @@ void build_class_shared(const ReceptionTable& table,
       // MDS rows over the chunk's own x-packets: any n_t columns of the
       // generator are independent, so the n_t outputs stay jointly uniform
       // for any adversary missing at least n_t of the inputs.
-      const gf::Matrix g = gf::mds::vandermonde(n_t, chunk.size());
-      for (std::size_t row = 0; row < n_t; ++row) {
-        packet::Combination combo;
-        for (std::size_t col = 0; col < chunk.size(); ++col)
-          combo.add(chunk[col], g.at(row, col));
-        result.pool.add(YPool::Entry{std::move(combo), cls.members});
-      }
+      for (std::size_t row = 0; row < n_t; ++row)
+        result.pool.add(YPool::Entry{mds_row(row, chunk), cls.members});
     }
     result.allocations.push_back(PoolAllocation{cls.members,
                                                 cls.indices.size(),
@@ -224,17 +235,13 @@ void build_terminal_mds(const ReceptionTable& table,
          begin += gf::mds::kMaxColumns) {
       const std::size_t end =
           std::min(begin + gf::mds::kMaxColumns, r_set.size());
-      const std::vector<std::uint32_t> chunk(
-          r_set.begin() + static_cast<std::ptrdiff_t>(begin),
-          r_set.begin() + static_cast<std::ptrdiff_t>(end));
+      const std::span<const std::uint32_t> chunk(
+          r_set.data() + begin, r_set.data() + end);
       const std::size_t m_i = std::min(budget, chunk.size());
       budget -= m_i;
 
-      const gf::Matrix g = gf::mds::vandermonde(m_i, chunk.size());
       for (std::size_t row = 0; row < m_i; ++row) {
-        packet::Combination combo;
-        for (std::size_t col = 0; col < chunk.size(); ++col)
-          combo.add(chunk[col], g.at(row, col));
+        packet::Combination combo = mds_row(row, chunk);
 
         // A row already in the pool (a receiver with an identical chunk
         // went first) is shared, not re-added; its audience was computed

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <stdexcept>
 
 namespace thinair::core {
@@ -45,6 +44,7 @@ bool ReceptionTable::has(packet::NodeId t, std::uint32_t index) const {
 std::vector<std::uint32_t> ReceptionTable::received(packet::NodeId t) const {
   const auto& bm = bitmaps_[receiver_index(t)];
   std::vector<std::uint32_t> out;
+  out.reserve(received_count(t));
   for (std::uint32_t i = 0; i < universe_; ++i)
     if ((bm[i / 64] >> (i % 64)) & 1) out.push_back(i);
   return out;
@@ -68,26 +68,44 @@ std::size_t ReceptionTable::missed_by(packet::NodeId a,
 }
 
 std::vector<ReceptionTable::Class> ReceptionTable::classes() const {
-  std::map<std::uint64_t, std::vector<std::uint32_t>> by_mask;
+  // One (receiver mask, x-index) key per packet somebody received, sorted
+  // into the builder's order — most members first, ties by mask, indices
+  // ascending — so each class is a run of equal masks.
+  struct Key {
+    std::uint64_t mask;
+    std::uint32_t index;
+  };
+  std::vector<Key> keys;
+  keys.reserve(universe_);
   for (std::uint32_t i = 0; i < universe_; ++i) {
     net::NodeSet members;
     for (std::size_t r = 0; r < receivers_.size(); ++r)
       if ((bitmaps_[r][i / 64] >> (i % 64)) & 1) members.insert(receivers_[r]);
-    if (!members.empty()) by_mask[members.mask()].push_back(i);
+    if (!members.empty()) keys.push_back({members.mask(), i});
   }
-  std::vector<Class> out;
-  out.reserve(by_mask.size());
-  for (auto& [mask, indices] : by_mask) {
-    net::NodeSet members;
-    for (packet::NodeId r : receivers_)
-      if ((mask >> r.value) & 1) members.insert(r);
-    out.push_back(Class{members, std::move(indices)});
-  }
-  std::sort(out.begin(), out.end(), [](const Class& a, const Class& b) {
-    if (a.members.size() != b.members.size())
-      return a.members.size() > b.members.size();
-    return a.members.mask() < b.members.mask();
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    const int size_a = std::popcount(a.mask);
+    const int size_b = std::popcount(b.mask);
+    if (size_a != size_b) return size_a > size_b;
+    if (a.mask != b.mask) return a.mask < b.mask;
+    return a.index < b.index;
   });
+
+  std::size_t classes = 0;
+  for (std::size_t k = 0; k < keys.size(); ++k)
+    if (k == 0 || keys[k].mask != keys[k - 1].mask) ++classes;
+  std::vector<Class> out;
+  out.reserve(classes);
+  for (std::size_t k = 0; k < keys.size();) {
+    std::size_t end = k;
+    while (end < keys.size() && keys[end].mask == keys[k].mask) ++end;
+    Class cls;
+    for (packet::NodeId r : receivers_)
+      if ((keys[k].mask >> r.value) & 1) cls.members.insert(r);
+    cls.indices.reserve(end - k);
+    for (; k < end; ++k) cls.indices.push_back(keys[k].index);
+    out.push_back(std::move(cls));
+  }
   return out;
 }
 

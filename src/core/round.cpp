@@ -14,8 +14,8 @@ RoundContext open_round(net::Medium& medium, packet::NodeId alice,
                         packet::PayloadArena& arena) {
   if (payload_bytes == 0)
     throw std::invalid_argument("open_round: payload_bytes == 0");
-  const auto terminals = medium.terminals();
-  const auto eavesdroppers = medium.eavesdroppers();
+  const auto& terminals = medium.terminals();
+  const auto& eavesdroppers = medium.eavesdroppers();
 
   std::vector<packet::NodeId> receivers;
   for (packet::NodeId t : terminals)
@@ -32,6 +32,10 @@ RoundContext open_round(net::Medium& medium, packet::NodeId alice,
       .slot_of = std::vector<std::size_t>(n, 0),
       .table = ReceptionTable(alice, receivers, n),
   };
+  // Sized for the worst case up front so the reception loop never grows
+  // a vector.
+  for (std::vector<std::uint32_t>& idx : ctx.rx_indices) idx.reserve(n);
+  if (!eavesdroppers.empty()) ctx.eve_indices.reserve(n);
 
   // Step 1: N random payloads, broadcast once each. Payload bytes are
   // carved from the round arena (one bump per packet, contiguous across
@@ -69,17 +73,18 @@ RoundContext open_round(net::Medium& medium, packet::NodeId alice,
     }
   }
 
-  // Step 2: reliable reception reports.
+  // Step 2: reliable reception reports, framed in the same Packet and
+  // encoded from one report whose index buffer keeps its capacity.
+  packet::ReceptionReport report{static_cast<std::uint32_t>(n), {}};
+  pkt.kind = packet::Kind::kReport;
+  pkt.seq = packet::PacketSeq{0};
   for (std::size_t ri = 0; ri < receivers.size(); ++ri) {
     ctx.table.set_received(receivers[ri], ctx.rx_indices[ri]);
-    const packet::ReceptionReport report{static_cast<std::uint32_t>(n),
-                                         ctx.rx_indices[ri]};
-    const packet::Packet report_pkt{.kind = packet::Kind::kReport,
-                                    .source = receivers[ri],
-                                    .round = round,
-                                    .seq = packet::PacketSeq{0},
-                                    .payload = packet::encode(report)};
-    net::reliable_broadcast(medium, receivers[ri], report_pkt,
+    report.received.assign(ctx.rx_indices[ri].begin(),
+                           ctx.rx_indices[ri].end());
+    pkt.source = receivers[ri];
+    packet::encode_into(report, pkt.payload);
+    net::reliable_broadcast(medium, receivers[ri], pkt,
                             net::TrafficClass::kControl);
   }
 

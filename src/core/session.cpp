@@ -65,11 +65,12 @@ void GroupSecretSession::reset(net::Medium& medium, SessionConfig config) {
 }
 
 SessionResult GroupSecretSession::run() {
-  const auto terminals = medium_->terminals();
+  const auto& terminals = medium_->terminals();
   const std::size_t rounds =
       config_.rounds == 0 ? terminals.size() : config_.rounds;
 
   SessionResult result;
+  result.rounds.reserve(rounds);
   const net::Ledger ledger_before = medium_->ledger();
   const double time_before = medium_->now();
 
@@ -187,6 +188,7 @@ RoundOutcome GroupSecretSession::run_round(packet::NodeId alice,
   RoundOutcome outcome;
   outcome.alice = alice;
   outcome.universe = n;
+  outcome.pairwise_size.reserve(ctx.receivers.size());
   for (packet::NodeId r : ctx.receivers)
     outcome.pairwise_size.push_back(pool.count_for(r));
   outcome.pool_size = pool.size();

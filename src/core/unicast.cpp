@@ -1,6 +1,7 @@
 #include "core/unicast.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "gf/kernels.h"
@@ -31,11 +32,12 @@ void UnicastSession::reset(net::Medium& medium, SessionConfig config) {
 }
 
 SessionResult UnicastSession::run() {
-  const auto terminals = medium_->terminals();
+  const auto& terminals = medium_->terminals();
   const std::size_t rounds =
       config_.rounds == 0 ? terminals.size() : config_.rounds;
 
   SessionResult result;
+  result.rounds.reserve(rounds);
   const net::Ledger ledger_before = medium_->ledger();
   const double time_before = medium_->now();
 
@@ -74,14 +76,15 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
       run_phase1(ctx.table, *estimator, config_.pool_strategy);
   const YPool& pool = phase1.build.pool;
 
-  {
-    packet::Packet pkt{.kind = packet::Kind::kAnnouncement,
-                       .source = alice,
-                       .round = round,
-                       .seq = packet::PacketSeq{0},
-                       .payload = packet::encode(phase1.announcement)};
-    net::reliable_broadcast(*medium_, alice, pkt, net::TrafficClass::kControl);
-  }
+  // The announcement and every ciphertext reuse one scratch packet: its
+  // payload buffer keeps its capacity across rounds and pooled lifetimes.
+  scratch_pkt_.kind = packet::Kind::kAnnouncement;
+  scratch_pkt_.source = alice;
+  scratch_pkt_.round = round;
+  scratch_pkt_.seq = packet::PacketSeq{0};
+  packet::encode_into(phase1.announcement, scratch_pkt_.payload);
+  net::reliable_broadcast(*medium_, alice, scratch_pkt_,
+                          net::TrafficClass::kControl);
 
   // The group secret is L y-packets known to the first receiver; every
   // other receiver gets it one-time-padded with its own pair-wise secret.
@@ -111,6 +114,7 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
   RoundOutcome outcome;
   outcome.alice = alice;
   outcome.universe = n;
+  outcome.pairwise_size.reserve(ctx.receivers.size());
   for (packet::NodeId r : ctx.receivers)
     outcome.pairwise_size.push_back(pool.count_for(r));
   outcome.pool_size = pool.size();
@@ -129,13 +133,12 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
   const std::vector<packet::ConstByteSpan> y_contents =
       all_y_contents(pool, ctx.x_payloads, payload, arena);
 
+  // The first L exclusively-assigned rows of receiver ri.
   const auto secret_indices_of = [&](std::size_t ri) {
-    auto rows = assigned[ri];
-    rows.resize(l);  // first L exclusively-assigned rows
-    return rows;
+    return std::span<const std::size_t>(assigned[ri]).first(l);
   };
 
-  const std::vector<std::size_t> group_idx = secret_indices_of(0);
+  const std::span<const std::size_t> group_idx = secret_indices_of(0);
   std::vector<packet::ConstByteSpan> s_payloads;
   s_payloads.reserve(l);
   for (std::size_t j : group_idx) s_payloads.push_back(y_contents[j]);
@@ -143,31 +146,36 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
   analysis::EveView eve(n);
   eve.observe_x(ctx.eve_indices);
 
-  const gf::Matrix secret_rows = g.select_rows(group_idx);
+  gf::Matrix secret_rows(l, n, arena);
+  for (std::size_t j = 0; j < l; ++j) {
+    const std::span<const std::uint8_t> row = g.row(group_idx[j]);
+    std::copy(row.begin(), row.end(), secret_rows.row(j).begin());
+  }
 
   // Unicast the padded secret to receivers 1..n-2 (receiver 0 holds it
   // already). Ciphertext c_j = s_j + pad_j is public: feed it to Eve.
+  scratch_pkt_.kind = packet::Kind::kCipher;
   for (std::size_t ri = 1; ri < ctx.receivers.size(); ++ri) {
-    const std::vector<std::size_t> pad_idx = secret_indices_of(ri);
-    gf::Matrix cipher_rows(l, n);
+    const std::span<const std::size_t> pad_idx = secret_indices_of(ri);
+    const packet::PayloadArena::Mark mark = arena.mark();
+    gf::Matrix cipher_rows(l, n, arena);
     for (std::size_t j = 0; j < l; ++j) {
-      packet::Payload body(s_payloads[j].begin(), s_payloads[j].end());
-      gf::xor_into(y_contents[pad_idx[j]].data(), body.data(), payload);
+      scratch_pkt_.payload.assign(s_payloads[j].begin(), s_payloads[j].end());
+      gf::xor_into(y_contents[pad_idx[j]].data(), scratch_pkt_.payload.data(),
+                   payload);
 
-      for (std::size_t c = 0; c < n; ++c)
-        cipher_rows.set(j, c,
-                        secret_rows.at(j, c) + g.at(pad_idx[j], c));
+      // Row j of the ciphertext functional: secret row + pad row (GF(2^8)
+      // addition is XOR).
+      const std::span<std::uint8_t> cipher = cipher_rows.row(j);
+      std::copy_n(secret_rows.row(j).data(), n, cipher.data());
+      gf::xor_into(g.row(pad_idx[j]).data(), cipher.data(), n);
 
-      packet::Packet pkt{
-          .kind = packet::Kind::kCipher,
-          .source = alice,
-          .round = round,
-          .seq = packet::PacketSeq{static_cast<std::uint32_t>(j)},
-          .payload = std::move(body)};
-      net::reliable_unicast(*medium_, alice, ctx.receivers[ri], pkt,
+      scratch_pkt_.seq = packet::PacketSeq{static_cast<std::uint32_t>(j)};
+      net::reliable_unicast(*medium_, alice, ctx.receivers[ri], scratch_pkt_,
                             net::TrafficClass::kCipher);
     }
     eve.observe_combinations(cipher_rows);
+    arena.rewind(mark);
   }
 
   // Verification: each receiver strips its pad and must obtain the secret.
@@ -176,7 +184,7 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
     const packet::PayloadArena::Mark mark = arena.mark();
     const auto own_y = reconstruct_y(pool, ctx.receivers[ri],
                                      ctx.rx_payloads[ri], payload, arena);
-    const std::vector<std::size_t> pad_idx = secret_indices_of(ri);
+    const std::span<const std::size_t> pad_idx = secret_indices_of(ri);
     for (std::size_t j = 0; j < l; ++j) {
       // Ciphertext as transmitted:
       const packet::ByteSpan cipher = arena.copy(s_payloads[j]);

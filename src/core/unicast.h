@@ -41,7 +41,10 @@ class UnicastSession {
   SessionConfig config_;
   packet::PayloadArena owned_arena_;  // used when config_.arena is null
   std::uint32_t next_round_ = 0;
-  std::vector<std::size_t> receiver_cells_;  // per-round scratch
+  // Round-loop scratch, reused like GroupSecretSession's: only capacity
+  // survives a round.
+  packet::Packet scratch_pkt_;
+  std::vector<std::size_t> receiver_cells_;
 };
 
 }  // namespace thinair::core

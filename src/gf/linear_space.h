@@ -7,6 +7,12 @@
 //   - inserting an observation is O(rank * dim),
 //   - "does this functional add information?" is a residual test,
 //   - equivocation queries reduce to rank arithmetic.
+//
+// Most of Eve's view is unit functionals (the x-packets she overheard), so
+// the basis keeps its unit rows as a column mask and stores only the
+// other rows densely. Every dense row is zero at each unit column, so a
+// unit row never changes once inserted, and eliminating against all units
+// is clearing their columns.
 
 #include <cstddef>
 #include <span>
@@ -19,10 +25,11 @@ namespace thinair::gf {
 /// A subspace of F_256^dim maintained as a reduced row-echelon basis.
 class LinearSpace {
  public:
-  explicit LinearSpace(std::size_t dim) : dim_(dim) {}
+  explicit LinearSpace(std::size_t dim)
+      : dim_(dim), keep_(dim, std::uint8_t{0xFF}), dense_(dim) {}
 
   [[nodiscard]] std::size_t dim() const { return dim_; }
-  [[nodiscard]] std::size_t rank() const { return basis_.size(); }
+  [[nodiscard]] std::size_t rank() const { return units_ + dense_.size(); }
 
   /// Insert a vector; returns true when it was independent of (and thus
   /// enlarged) the space. Vector length must equal dim(). The return
@@ -37,6 +44,7 @@ class LinearSpace {
   std::size_t insert_rows(const Matrix& m);
 
   /// Insert the `index`-th unit vector (an observation of one raw symbol).
+  /// O(dense rows) unless a dense row already leads at `index`.
   [[nodiscard]] bool insert_unit(std::size_t index);
 
   /// True when v lies in the span.
@@ -47,22 +55,61 @@ class LinearSpace {
   /// of a secret with combination matrix m given these observations.
   [[nodiscard]] std::size_t residual_rank(const Matrix& m) const;
 
-  /// The current basis as a matrix (rank() x dim()).
+  /// The current basis as a matrix (rank() x dim()) in reduced row-echelon
+  /// form: unit and dense rows interleaved by pivot column.
   [[nodiscard]] Matrix basis() const;
 
  private:
-  /// Reduce v against the basis in place; returns the column of its leading
-  /// nonzero entry, or dim_ when v reduces to zero.
-  std::size_t reduce(std::vector<std::uint8_t>& v) const;
+  /// Rows in reduced echelon form among themselves: each normalised
+  /// (pivot == 1), zero before its pivot and at every other row's pivot.
+  /// Stored flat in insertion order (slot k at data[k * width]), with the
+  /// slots listed by ascending pivot, so adding a row moves no bytes and
+  /// allocates only when the storage grows.
+  struct EchelonRows {
+    explicit EchelonRows(std::size_t w) : width(w) {}
 
-  /// insert() taking ownership of the candidate row (no defensive copy).
-  [[nodiscard]] bool insert_owned(std::vector<std::uint8_t> w);
+    [[nodiscard]] std::size_t size() const { return pivots.size(); }
+    [[nodiscard]] std::uint8_t* row(std::size_t i) {
+      return data.data() + slots[i] * width;
+    }
+    [[nodiscard]] const std::uint8_t* row(std::size_t i) const {
+      return data.data() + slots[i] * width;
+    }
+
+    /// Room for `rows` rows plus the candidate slot.
+    void reserve(std::size_t rows) {
+      data.reserve((rows + 1) * width);
+      pivots.reserve(rows);
+      slots.reserve(rows);
+    }
+    /// A zeroed candidate row in the slot after the last row.
+    [[nodiscard]] std::span<std::uint8_t> candidate();
+    /// Subtract from v its components along these rows.
+    void eliminate(std::span<std::uint8_t> v) const;
+    /// Keep the candidate, eliminated against these rows and leading at
+    /// `pivot`: normalise it, back-substitute it into the rows before it
+    /// and list its slot in pivot order.
+    void add_candidate(std::size_t pivot);
+
+    std::size_t width;
+    std::vector<std::uint8_t> data;
+    std::vector<std::size_t> pivots;  // ascending
+    std::vector<std::size_t> slots;   // slots[i]: the row leading at pivots[i]
+  };
+
+  /// Reduce v against the whole basis in place (units, then dense rows).
+  void reduce(std::span<std::uint8_t> v) const;
+
+  /// Reduce w, dense_'s candidate row, and keep it when it is independent.
+  [[nodiscard]] bool insert_candidate(std::span<std::uint8_t> w);
 
   std::size_t dim_;
-  // Rows kept sorted by pivot column; each row is normalised (pivot == 1)
-  // and fully reduced against the others.
-  std::vector<std::vector<std::uint8_t>> basis_;
-  std::vector<std::size_t> pivots_;
+  // The unit rows: keep_[c] == 0 when e_c is in the basis, 0xFF otherwise,
+  // so v[c] &= keep_[c] eliminates v against every unit row at once.
+  std::vector<std::uint8_t> keep_;
+  std::size_t units_ = 0;
+  // The dense rows, each also zero at every unit column.
+  EchelonRows dense_;
 };
 
 }  // namespace thinair::gf

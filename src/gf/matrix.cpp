@@ -116,6 +116,7 @@ Matrix Matrix::select_rows(std::span<const std::size_t> rows) const {
 
 std::vector<std::size_t> Matrix::row_reduce() {
   std::vector<std::size_t> pivots;
+  pivots.reserve(std::min(rows_, cols_));
   std::size_t r = 0;
   for (std::size_t c = 0; c < cols_ && r < rows_; ++c) {
     std::size_t pivot = r;

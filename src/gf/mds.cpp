@@ -1,22 +1,40 @@
 #include "gf/mds.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <vector>
 
 namespace thinair::gf::mds {
 
+namespace {
+
+using Row = std::array<std::uint8_t, kMaxColumns>;
+
+// Entry (i, j) = alpha_j^i with alpha_j = alpha^j, i.e. alpha^(i*j mod 255).
+consteval std::array<Row, kMaxColumns> make_vandermonde_table() {
+  std::array<Row, kMaxColumns> t{};
+  for (std::size_t i = 0; i < kMaxColumns; ++i)
+    for (std::size_t j = 0; j < kMaxColumns; ++j)
+      t[i][j] = GF256::alpha_pow(static_cast<unsigned>(i * j % 255)).value();
+  return t;
+}
+
+constexpr std::array<Row, kMaxColumns> kVandermonde = make_vandermonde_table();
+
+}  // namespace
+
+std::span<const std::uint8_t, kMaxColumns> vandermonde_row(std::size_t i) {
+  if (i >= kMaxColumns) throw std::out_of_range("mds::vandermonde_row: i");
+  return kVandermonde[i];
+}
+
 Matrix vandermonde(std::size_t k, std::size_t n) {
   if (k > n) throw std::invalid_argument("mds::vandermonde: k > n");
   if (n > kMaxColumns) throw std::invalid_argument("mds::vandermonde: n > 255");
   Matrix g(k, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const GF256 x = GF256::alpha_pow(static_cast<unsigned>(j));
-    GF256 p = kOne;
-    for (std::size_t i = 0; i < k; ++i) {
-      g.set(i, j, p);
-      p = p * x;
-    }
-  }
+  for (std::size_t i = 0; i < k; ++i)
+    std::copy_n(kVandermonde[i].begin(), n, g.row(i).begin());
   return g;
 }
 

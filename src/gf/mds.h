@@ -15,6 +15,8 @@
 // for any k <= n <= 255 over GF(2^8).
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "gf/matrix.h"
 
@@ -28,6 +30,13 @@ inline constexpr std::size_t kMaxColumns = 255;
 /// alpha_j = alpha^j are distinct nonzero points. Any k columns are
 /// linearly independent. Requires k <= n <= 255.
 [[nodiscard]] Matrix vandermonde(std::size_t k, std::size_t n);
+
+/// Row i < 255 of the full 255 x 255 Vandermonde table (entry j is
+/// alpha^(i*j)), generated at compile time: vandermonde(k, n) is its
+/// top-left k x n block, and per-round code that needs a few rows reads
+/// them here instead of building a matrix.
+[[nodiscard]] std::span<const std::uint8_t, kMaxColumns> vandermonde_row(
+    std::size_t i);
 
 /// Square n x n Vandermonde matrix (invertible); vandermonde(n, n).
 [[nodiscard]] Matrix vandermonde_square(std::size_t n);

@@ -14,27 +14,12 @@ Medium::Medium(channel::Rng rng, MacParams params)
 }
 
 void Medium::attach(packet::NodeId node, Role role) {
-  if (nodes_.contains(node)) throw std::invalid_argument("Medium: re-attach");
-  nodes_.emplace(node, role);
+  if (is_attached(node)) throw std::invalid_argument("Medium: re-attach");
+  if (node.value >= attached_.size())
+    attached_.resize(node.value + std::size_t{1}, false);
+  attached_[node.value] = true;
   order_.push_back(node);
-}
-
-std::vector<packet::NodeId> Medium::terminals() const {
-  std::vector<packet::NodeId> out;
-  for (packet::NodeId id : order_)
-    if (nodes_.at(id) == Role::kTerminal) out.push_back(id);
-  return out;
-}
-
-std::vector<packet::NodeId> Medium::eavesdroppers() const {
-  std::vector<packet::NodeId> out;
-  for (packet::NodeId id : order_)
-    if (nodes_.at(id) == Role::kEavesdropper) out.push_back(id);
-  return out;
-}
-
-bool Medium::is_attached(packet::NodeId node) const {
-  return nodes_.contains(node);
+  (role == Role::kTerminal ? terminals_ : eavesdroppers_).push_back(node);
 }
 
 double Medium::frame_airtime_s(std::size_t wire_bytes) const {

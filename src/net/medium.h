@@ -18,7 +18,6 @@
 // take turns transmitting under the protocol, so no collision model is
 // needed (the paper's terminals likewise defer to the 802.11 MAC).
 
-#include <unordered_map>
 #include <vector>
 
 #include "channel/erasure.h"
@@ -55,9 +54,17 @@ class Medium {
   Medium& operator=(const Medium&) = delete;
 
   void attach(packet::NodeId node, Role role);
-  [[nodiscard]] std::vector<packet::NodeId> terminals() const;
-  [[nodiscard]] std::vector<packet::NodeId> eavesdroppers() const;
-  [[nodiscard]] bool is_attached(packet::NodeId node) const;
+  /// Attached terminals / eavesdroppers in attachment order. The lists are
+  /// built by attach(), so a reference stays valid until the next attach.
+  [[nodiscard]] const std::vector<packet::NodeId>& terminals() const {
+    return terminals_;
+  }
+  [[nodiscard]] const std::vector<packet::NodeId>& eavesdroppers() const {
+    return eavesdroppers_;
+  }
+  [[nodiscard]] bool is_attached(packet::NodeId node) const {
+    return node.value < attached_.size() && attached_[node.value];
+  }
 
   /// Broadcast a frame once (the paper's "transmits"). Every other attached
   /// node independently either receives it or loses it; how that is decided
@@ -93,7 +100,8 @@ class Medium {
   Medium(channel::Rng rng, MacParams params);
 
   /// Shared post-transmit bookkeeping: charge the ledger, append the trace
-  /// entry and advance the virtual clock past the frame + inter-frame gap.
+  /// entry (when enabled) and advance the virtual clock past the frame +
+  /// inter-frame gap.
   void account_transmit(packet::NodeId source, const packet::Packet& pkt,
                         TrafficClass cls, const TxResult& result,
                         std::size_t tx_slot);
@@ -105,8 +113,10 @@ class Medium {
  private:
   channel::Rng rng_;
   MacParams params_;
-  std::unordered_map<packet::NodeId, Role> nodes_;
+  std::vector<bool> attached_;  // by node id
   std::vector<packet::NodeId> order_;  // attachment order, for determinism
+  std::vector<packet::NodeId> terminals_;
+  std::vector<packet::NodeId> eavesdroppers_;
   double now_s_ = 0.0;
   Ledger ledger_;
   Trace trace_;

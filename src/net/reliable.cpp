@@ -4,10 +4,23 @@
 
 namespace thinair::net {
 
+namespace {
+
+// Acknowledgement frame from a new receiver; acks are short and assumed
+// reliable (they carry no secret-relevant content), so only their bytes
+// and airtime are charged — no frame is built.
+void charge_ack(Medium& medium, const ReliableParams& params) {
+  const std::size_t wire =
+      packet::Packet::header_size() + params.ack_payload_bytes;
+  medium.ledger().add(TrafficClass::kAck, wire, medium.frame_airtime_s(wire));
+}
+
+}  // namespace
+
 ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
                                   const packet::Packet& pkt, TrafficClass cls,
                                   ReliableParams params) {
-  const auto terminals = medium.terminals();
+  const auto& terminals = medium.terminals();
 
   ReliableResult result;
   std::size_t pending = 0;
@@ -29,16 +42,7 @@ ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
       if (tx.delivered.contains(rx)) {
         result.delivered.insert(rx);
         --pending;
-        // Acknowledgement frame from the new receiver; acks are short and
-        // assumed reliable (they carry no secret-relevant content).
-        packet::Packet ack{.kind = packet::Kind::kAck,
-                           .source = rx,
-                           .round = pkt.round,
-                           .seq = pkt.seq,
-                           .payload = packet::Payload(params.ack_payload_bytes,
-                                                      std::uint8_t{0})};
-        medium.ledger().add(TrafficClass::kAck, ack.wire_size(),
-                            medium.frame_airtime_s(ack.wire_size()));
+        charge_ack(medium, params);
       }
     }
     // Any eavesdropper that happened to receive an attempt is noted, though
@@ -70,14 +74,7 @@ ReliableResult reliable_unicast(Medium& medium, packet::NodeId source,
     const Medium::TxResult tx = medium.transmit(source, pkt, cls);
     if (tx.delivered.contains(dest)) {
       result.delivered.insert(dest);
-      packet::Packet ack{.kind = packet::Kind::kAck,
-                         .source = dest,
-                         .round = pkt.round,
-                         .seq = pkt.seq,
-                         .payload = packet::Payload(params.ack_payload_bytes,
-                                                    std::uint8_t{0})};
-      medium.ledger().add(TrafficClass::kAck, ack.wire_size(),
-                          medium.frame_airtime_s(ack.wire_size()));
+      charge_ack(medium, params);
     }
     ++reliable_frames;
     for (packet::NodeId e : medium.eavesdroppers())

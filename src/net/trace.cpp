@@ -20,6 +20,7 @@ std::size_t NodeSet::size() const {
 }
 
 void Trace::mark_reliable(std::size_t count) {
+  if (!enabled_) return;
   if (count > entries_.size())
     throw std::out_of_range("Trace::mark_reliable: count");
   for (std::size_t i = entries_.size() - count; i < entries_.size(); ++i)

@@ -1,10 +1,13 @@
 #pragma once
 // Reception trace: who received what.
 //
-// The medium records, for every frame it carries, the set of nodes that
-// received it and whether it was part of a *reliable* broadcast (whose
-// content the paper conservatively assumes Eve always obtains, Sec. 2).
-// The secrecy analysis replays this trace to build Eve's exact view.
+// Once enabled, the medium records, for every frame it carries, the set
+// of nodes that received it and whether it was part of a *reliable*
+// broadcast (whose content the paper conservatively assumes Eve always
+// obtains, Sec. 2). Recording is opt-in: the sessions score Eve from their
+// own round bookkeeping, so a sweep would only pay for an ever-growing
+// log nobody reads. A consumer that replays the air (tests, an external
+// secrecy oracle) calls enable() before the first frame.
 
 #include <cstdint>
 #include <vector>
@@ -46,7 +49,14 @@ struct TraceEntry {
 
 class Trace {
  public:
-  void record(TraceEntry entry) { entries_.push_back(std::move(entry)); }
+  /// Record every frame from now on; until then record() and
+  /// mark_reliable() do nothing.
+  void enable() { enabled_ = true; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
+
+  void record(const TraceEntry& entry) {
+    if (enabled_) entries_.push_back(entry);
+  }
   [[nodiscard]] const std::vector<TraceEntry>& entries() const {
     return entries_;
   }
@@ -55,6 +65,7 @@ class Trace {
   void clear() { entries_.clear(); }
 
  private:
+  bool enabled_ = false;
   std::vector<TraceEntry> entries_;
 };
 

@@ -39,6 +39,8 @@ class Combination {
   void add(std::uint32_t index, gf::GF256 coeff) {
     if (!coeff.is_zero()) terms_.push_back({index, coeff});
   }
+  /// Room for `n` terms, so a row built term by term allocates once.
+  void reserve(std::size_t n) { terms_.reserve(n); }
 
   /// Evaluate over `inputs`, where inputs[t.index] must be a payload of
   /// size `payload_size` for every term t.

@@ -1,6 +1,7 @@
 #include "runtime/scenario_spec.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -235,6 +236,18 @@ std::size_t case_count(const Compiled& c) {
              spec.sweep.repeats);
 }
 
+/// A sweep.key value as `--set` text. Integral values are written out in
+/// full: format_double's shortest form writes 100000 as "1e+05", which
+/// the integer keys reject.
+std::string override_text(double value) {
+  if (std::signbit(value) || !(value < 0x1p64) || value != std::floor(value))
+    return format_double(value);
+  char buf[24];  // 2^64 - 1 has 20 digits
+  return std::string(
+      buf, std::to_chars(buf, buf + sizeof(buf),
+                         static_cast<std::uint64_t>(value)).ptr);
+}
+
 [[noreturn]] void fail_too_many_cases(const ScenarioSpec& spec) {
   fail(spec, "plan has more than " + std::to_string(kMaxSweepValues) +
                  " cases");
@@ -251,8 +264,18 @@ Compiled validate(const ScenarioSpec& spec) {
   if (spec.estimator.k_antennas < 1)
     fail(spec, "estimator.k_antennas must be >= 1");
   if (spec.session.x_packets < 1) fail(spec, "session.x_packets must be >= 1");
+  if (spec.session.x_packets > kMaxSweepValues)
+    fail(spec,
+         "session.x_packets must be <= " + std::to_string(kMaxSweepValues));
   if (spec.session.payload_bytes < 1)
     fail(spec, "session.payload_bytes must be >= 1");
+  if (spec.session.payload_bytes >
+      kMaxRoundPayloadBytes / spec.session.x_packets)
+    fail(spec, "session.x_packets x session.payload_bytes must be <= " +
+                   std::to_string(kMaxRoundPayloadBytes) +
+                   " bytes of x-payloads per round");
+  if (spec.session.rounds > kMaxSweepValues)
+    fail(spec, "session.rounds must be <= " + std::to_string(kMaxSweepValues));
 
   const bool iid = spec.channel.model == channel::ChannelModelKind::kIid;
   c.testbed = spec.channel.model == channel::ChannelModelKind::kTestbed;
@@ -371,7 +394,7 @@ Compiled make_compiled(const ScenarioSpec& spec) {
       // The same path/value syntax as `--set key=value`, so exactly the
       // keys an override can reach are sweepable — and a value the key
       // cannot hold (90.5 packets) fails here, at compile time.
-      apply_override(variant, key, format_double(value));
+      apply_override(variant, key, override_text(value));
     } catch (const SpecError& e) {
       fail(spec, "sweep.key: " + std::string(e.what()));
     }

@@ -227,6 +227,11 @@ struct ScenarioSpec {
 /// variants). Past it, a typo is a diagnostic, not a multi-GB allocation.
 inline constexpr std::size_t kMaxSweepValues = std::size_t{1} << 20;
 
+/// The most x-payload bytes one round may carry (session.x_packets x
+/// session.payload_bytes): 64 MiB. session.x_packets and session.rounds
+/// are bounded by kMaxSweepValues.
+inline constexpr std::size_t kMaxRoundPayloadBytes = std::size_t{1} << 26;
+
 /// Validate `spec` and compile it into a runnable Scenario. The returned
 /// Scenario carries a copy of the spec (Scenario::spec), keeps the
 /// engine's purity contract, and throws nothing at run time that compile

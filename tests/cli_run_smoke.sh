@@ -74,4 +74,9 @@ expect_exit 2 "usage: $THINAIR list" sweep-worker
 # compiler rejects the plan before any is built.
 expect_exit 1 "invalid spec:" run fig2 --set sweep.repeats=20000 --limit 1
 
+# 2^32 x-packets per round would fail in the run with std::bad_alloc; the
+# compiler bounds the session sizes.
+expect_exit 1 "invalid spec:" run fig1 --set session.x_packets=4294967296 \
+  --limit 1
+
 echo "PASS"

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "gf/mds.h"
 
 namespace thinair::gf {
@@ -213,6 +217,203 @@ TEST_P(MdsInsertSweep, GeneratorRowsAllIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, MdsInsertSweep,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 10u));
+
+// ------------------------------------------ differential vs textbook
+
+using Row = std::vector<std::uint8_t>;
+
+// Textbook incremental Gauss-Jordan elimination on the scalar GF256
+// operators alone — no kernels, no LinearSpace, no unit special case.
+// Rows stay in reduced row-echelon form, sorted by pivot column. An
+// independent oracle for any rank or span question over GF(2^8).
+class TextbookSpace {
+ public:
+  explicit TextbookSpace(std::size_t dim) : dim_(dim) {}
+
+  [[nodiscard]] std::size_t rank() const { return rows_.size(); }
+  [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
+
+  // v minus its components along every row; zero iff v is in the span.
+  [[nodiscard]] Row reduced(Row v) const {
+    for (const Row& r : rows_) {
+      const GF256 c(v[pivot_of(r)]);
+      for (std::size_t j = 0; j < dim_; ++j)
+        v[j] = (GF256(v[j]) - c * GF256(r[j])).value();
+    }
+    return v;
+  }
+
+  [[nodiscard]] bool contains(const Row& v) const {
+    return pivot_of(reduced(v)) == dim_;
+  }
+
+  bool insert(const Row& v) {
+    Row w = reduced(v);
+    const std::size_t p = pivot_of(w);
+    if (p == dim_) return false;
+    const GF256 inv = GF256(w[p]).inv();
+    for (std::uint8_t& x : w) x = (GF256(x) * inv).value();
+    for (Row& r : rows_) {
+      const GF256 c(r[p]);
+      for (std::size_t j = 0; j < dim_; ++j)
+        r[j] = (GF256(r[j]) - c * GF256(w[j])).value();
+    }
+    rows_.push_back(std::move(w));
+    std::sort(rows_.begin(), rows_.end(), [this](const Row& a, const Row& b) {
+      return pivot_of(a) < pivot_of(b);
+    });
+    return true;
+  }
+
+  [[nodiscard]] std::size_t pivot_of(const Row& v) const {
+    for (std::size_t j = 0; j < dim_; ++j)
+      if (v[j] != 0) return j;
+    return dim_;
+  }
+
+ private:
+  std::size_t dim_;
+  std::vector<Row> rows_;
+};
+
+Row unit(std::size_t dim, std::size_t index) {
+  Row v(dim, 0);
+  v[index] = 1;
+  return v;
+}
+
+bool is_unit(const Row& v) {
+  return std::count(v.begin(), v.end(), std::uint8_t{0}) + 1 ==
+             static_cast<std::ptrdiff_t>(v.size()) &&
+         std::count(v.begin(), v.end(), std::uint8_t{1}) == 1;
+}
+
+// Seeded random sequences of insert / insert_unit checked against the
+// textbook oracle after every step: the return value and rank(), then
+// contains(), residual_rank() and basis() (which must equal the unique
+// reduced row-echelon form). Five shapes cover the unit-mask paths:
+// units before dense rows, dense rows before units, interleaved (with
+// units aimed at dense pivot columns), duplicates, and filling to full
+// rank.
+TEST(LinearSpace, MatchesTextbookEliminationOnRandomSequences) {
+  std::mt19937_64 rng(20121029);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto byte = [&rng] { return static_cast<std::uint8_t>(rng()); };
+
+  for (std::size_t seq = 0; seq < 2000; ++seq) {
+    const std::size_t dim = 1 + below(64);
+    const std::size_t shape = seq % 5;
+    LinearSpace space(dim);
+    TextbookSpace ref(dim);
+    std::vector<Row> inserted;
+
+    // Sparse dense rows keep the space from filling at once; a mix of
+    // already-inserted rows is dependent by construction.
+    const auto random_row = [&] {
+      Row v(dim, 0);
+      const std::size_t density = 1 + below(4);
+      for (std::uint8_t& x : v)
+        if (below(density) == 0) x = byte();
+      if (!inserted.empty() && below(4) == 0) {
+        std::fill(v.begin(), v.end(), std::uint8_t{0});
+        for (int k = 0; k < 3; ++k) {
+          const Row& r = inserted[below(inserted.size())];
+          const GF256 c(byte());
+          for (std::size_t j = 0; j < dim; ++j)
+            v[j] = (GF256(v[j]) + c * GF256(r[j])).value();
+        }
+      }
+      return v;
+    };
+    const auto step_unit = [&](std::size_t index) {
+      const Row u = unit(dim, index);
+      ASSERT_EQ(space.insert_unit(index), ref.insert(u))
+          << "seq " << seq << " unit " << index;
+      inserted.push_back(u);
+    };
+    const auto step_dense = [&](const Row& v) {
+      ASSERT_EQ(space.insert(v), ref.insert(v)) << "seq " << seq;
+      inserted.push_back(v);
+    };
+    // A unit at a column where a non-unit row of the oracle leads: the
+    // insert_unit path that must fall back to general elimination.
+    const auto step_unit_on_pivot = [&] {
+      std::vector<std::size_t> pivots;
+      for (const Row& r : ref.rows())
+        if (!is_unit(r)) pivots.push_back(ref.pivot_of(r));
+      step_unit(pivots.empty() ? below(dim) : pivots[below(pivots.size())]);
+    };
+
+    const std::size_t steps = 1 + below(2 * dim);
+    for (std::size_t i = 0; i < steps; ++i) {
+      switch (shape) {
+        case 0:  // units, then dense rows
+          if (i < steps / 2) step_unit(below(dim));
+          else step_dense(random_row());
+          break;
+        case 1:  // dense rows, then units
+          if (i < steps / 2) step_dense(random_row());
+          else step_unit(below(dim));
+          break;
+        case 2:  // interleaved, units aimed at dense pivots
+          if (below(3) == 0) step_unit_on_pivot();
+          else if (below(2) == 0) step_unit(below(dim));
+          else step_dense(random_row());
+          break;
+        case 3:  // duplicates of earlier inserts, either kind
+          if (!inserted.empty() && below(2) == 0) {
+            const Row again = inserted[below(inserted.size())];
+            if (is_unit(again)) step_unit(ref.pivot_of(again));
+            else step_dense(again);
+          } else if (below(2) == 0) {
+            step_unit(below(dim));
+          } else {
+            step_dense(random_row());
+          }
+          break;
+        default:  // to full rank and past it
+          if (below(2) == 0) step_unit(below(dim));
+          else step_dense(random_row());
+          break;
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(space.rank(), ref.rank()) << "seq " << seq << " step " << i;
+    }
+    if (shape == 4)
+      for (std::size_t j = 0; j < dim; ++j) step_unit(j);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // basis() is the unique reduced row-echelon form of the span.
+    const Matrix basis = space.basis();
+    ASSERT_EQ(basis.rows(), ref.rank()) << "seq " << seq;
+    for (std::size_t r = 0; r < basis.rows(); ++r) {
+      const auto got = basis.row(r);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.rows()[r].begin()))
+          << "seq " << seq << " basis row " << r;
+    }
+
+    for (int k = 0; k < 4; ++k) {
+      const Row v = random_row();
+      EXPECT_EQ(space.contains(v), ref.contains(v)) << "seq " << seq;
+    }
+
+    Matrix probe(below(dim + 1), dim);
+    for (std::size_t r = 0; r < probe.rows(); ++r) {
+      const Row v = random_row();
+      std::copy(v.begin(), v.end(), probe.row(r).begin());
+    }
+    TextbookSpace joined = ref;
+    for (std::size_t r = 0; r < probe.rows(); ++r)
+      joined.insert(Row(probe.row(r).begin(), probe.row(r).end()));
+    EXPECT_EQ(space.residual_rank(probe), joined.rank() - ref.rank())
+        << "seq " << seq;
+    if (shape == 4) {
+      EXPECT_EQ(space.rank(), dim) << "seq " << seq;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace thinair::gf

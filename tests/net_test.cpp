@@ -121,12 +121,29 @@ TEST(Medium, TraceRecordsDeliveryAndSlot) {
   SimMedium medium(ch, channel::Rng(6));
   medium.attach(packet::NodeId{0}, Role::kTerminal);
   medium.attach(packet::NodeId{1}, Role::kTerminal);
+  medium.trace().enable();
   medium.transmit(packet::NodeId{0}, data_packet(0, 42), TrafficClass::kData);
   ASSERT_EQ(medium.trace().entries().size(), 1u);
   const TraceEntry& e = medium.trace().entries()[0];
   EXPECT_EQ(e.payload_bytes, 42u);
   EXPECT_TRUE(e.delivered.contains(packet::NodeId{1}));
   EXPECT_FALSE(e.reliable);
+}
+
+TEST(Medium, TraceRecordsNothingUntilEnabled) {
+  channel::IidErasure ch(0.5);
+  SimMedium medium(ch, channel::Rng(6));
+  medium.attach(packet::NodeId{0}, Role::kTerminal);
+  medium.attach(packet::NodeId{1}, Role::kTerminal);
+  EXPECT_FALSE(medium.trace().enabled());
+  reliable_broadcast(medium, packet::NodeId{0}, data_packet(0, 42),
+                     TrafficClass::kControl);
+  EXPECT_TRUE(medium.trace().entries().empty());
+  EXPECT_GT(medium.ledger().frames(TrafficClass::kControl), 0u);
+
+  medium.trace().enable();
+  medium.transmit(packet::NodeId{0}, data_packet(0, 42), TrafficClass::kData);
+  EXPECT_EQ(medium.trace().entries().size(), 1u);
 }
 
 TEST(Medium, RejectsUnknownSourceAndReattach) {
@@ -169,8 +186,10 @@ TEST(Reliable, TraceMarksAllAttemptsReliable) {
   SimMedium medium(ch, channel::Rng(10));
   medium.attach(packet::NodeId{0}, Role::kTerminal);
   medium.attach(packet::NodeId{1}, Role::kTerminal);
+  medium.trace().enable();
   reliable_broadcast(medium, packet::NodeId{0}, data_packet(0, 20),
                      TrafficClass::kControl);
+  ASSERT_FALSE(medium.trace().entries().empty());
   for (const TraceEntry& e : medium.trace().entries())
     EXPECT_TRUE(e.reliable);
 }

@@ -104,7 +104,6 @@ TEST(Phase2, PlanShapes) {
   EXPECT_EQ(plan.group_size, l);
   EXPECT_EQ(plan.h.rows(), m - l);
   EXPECT_EQ(plan.c.rows(), l);
-  EXPECT_EQ(plan.z_announcement.combinations.size(), m - l);
   EXPECT_EQ(plan.s_announcement.combinations.size(), l);
   EXPECT_EQ(secret_bits(plan, 16), l * 16 * 8);
 }

@@ -102,6 +102,7 @@ TEST(OpenRound, ReportsAreOnTheAirAndParseable) {
   net::SimMedium medium(ch, channel::Rng(6));
   for (std::uint16_t i = 0; i < 3; ++i)
     medium.attach(T(i), net::Role::kTerminal);
+  medium.trace().enable();
 
   packet::PayloadArena arena;
   const RoundContext ctx = open_round(medium, T(0), packet::RoundId{7}, 25, 8, arena);

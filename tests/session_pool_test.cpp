@@ -7,7 +7,8 @@
 // that contract directly: pooled-vs-fresh result equality, run()/reset()
 // lifecycle semantics, a 10k-session churn over rotating configs and
 // failure paths, arena watermark trimming, and (outside the sanitizers)
-// zero net allocation once the pools are warm.
+// zero net allocation once the pools are warm and a per-case allocation
+// budget for the fig1 and fig2 round loops.
 #include "runtime/object_pool.h"
 
 #include <gtest/gtest.h>
@@ -44,11 +45,13 @@
 #define THINAIR_ALLOC_COUNTING 1
 #endif
 
-// Live-allocation counter for the zero-net-allocation check. A relaxed
-// atomic: the pooled loops below are single-threaded, but gtest and the
-// runtime may allocate on other threads. At global scope so the
-// replacement operator new/delete at the bottom of the file can see it.
+// Live-allocation counter for the zero-net-allocation check, and a count
+// of every operator-new call for the allocation budget. Relaxed atomics:
+// the measured loops below are single-threaded, but gtest and the runtime
+// may allocate on other threads. At global scope so the replacement
+// operator new/delete at the bottom of the file can see them.
 std::atomic<std::int64_t> g_live_allocs{0};
+std::atomic<std::uint64_t> g_alloc_calls{0};
 
 namespace thinair {
 namespace {
@@ -347,6 +350,59 @@ TEST(SessionPool, WarmChurnIsAllocationFree) {
 #endif
 }
 
+// ------------------------------------------- round-loop allocation budget
+
+#if THINAIR_ALLOC_COUNTING
+// Mean operator-new calls per case of a registered scenario, run case by
+// case on this thread the way the engine runs them (fresh worker arena
+// per case, seed derived from the index). Only the second of two passes
+// over the plan counts: the first warms the thread's arena and pools.
+double warm_allocs_per_case(const std::string& name) {
+  runtime::register_builtin_scenarios();
+  const runtime::Scenario* scenario =
+      runtime::ScenarioRegistry::instance().find(name);
+  if (scenario == nullptr) throw std::logic_error("no scenario " + name);
+  const runtime::SweepPlan plan = scenario->plan();
+  std::uint64_t calls = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    calls = 0;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      runtime::worker_arena().reset();
+      runtime::worker_arena().trim_to_watermark();
+      const runtime::CaseSpec cs{i, runtime::derive_seed(42, i), plan.at(i)};
+      const std::uint64_t before =
+          g_alloc_calls.load(std::memory_order_relaxed);
+      (void)scenario->run(cs);
+      calls += g_alloc_calls.load(std::memory_order_relaxed) - before;
+    }
+  }
+  return static_cast<double>(calls) / static_cast<double>(plan.size());
+}
+#endif
+
+// Ceilings: the measured warm mean plus under 10% (fig1 3419, fig2 974
+// on gcc 12 / libstdc++), so a change that brings back a per-frame or
+// per-row allocation in the round loop fails here.
+TEST(AllocationBudget, Fig1WarmCases) {
+#if THINAIR_ALLOC_COUNTING
+  const double per_case = warm_allocs_per_case("fig1");
+  RecordProperty("allocs_per_case", std::to_string(per_case));
+  EXPECT_LE(per_case, 3750.0) << "fig1 allocations per warm case";
+#else
+  GTEST_SKIP() << "allocation counting is disabled under the sanitizers";
+#endif
+}
+
+TEST(AllocationBudget, Fig2WarmCases) {
+#if THINAIR_ALLOC_COUNTING
+  const double per_case = warm_allocs_per_case("fig2");
+  RecordProperty("allocs_per_case", std::to_string(per_case));
+  EXPECT_LE(per_case, 1050.0) << "fig2 allocations per warm case";
+#else
+  GTEST_SKIP() << "allocation counting is disabled under the sanitizers";
+#endif
+}
+
 // ------------------------------------------- engine reuse, byte equality
 
 // worker_pools() is thread_local, so a second engine run on the same
@@ -383,6 +439,7 @@ TEST(SessionPool, EngineRunTwiceSameBytes) {
 // code so nothing above accidentally depends on them being active.
 void* operator new(std::size_t n) {
   g_live_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;

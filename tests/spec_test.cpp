@@ -293,6 +293,18 @@ TEST(SpecCompile, RejectsInconsistentSpecs) {
   expect_compile_error(
       fig1_spec().sweep_key("session.x_packets", {20, 30}).with_repeats(20000),
       "plan has more than 1048576 cases");
+  // Session sizes: each of these once compiled and then failed in the
+  // run with std::bad_alloc.
+  spec = fig1_spec();
+  spec.session.x_packets = 4294967296;
+  expect_compile_error(spec, "session.x_packets must be <= 1048576");
+  spec = fig1_spec();
+  spec.session.payload_bytes = 4294967296;
+  expect_compile_error(
+      spec, "session.x_packets x session.payload_bytes must be <= 67108864");
+  spec = fig1_spec();
+  spec.session.rounds = 4294967296;
+  expect_compile_error(spec, "session.rounds must be <= 1048576");
   // A NaN key value compiles to a variant no case can find.
   expect_compile_error(
       fig1_spec().sweep_key("estimator.safety", {0.5, std::nan("")}),
@@ -334,6 +346,25 @@ TEST(SpecParse, KeySweepRoundTrips) {
   // Absent key axis stays absent (no "key =" line at all).
   EXPECT_EQ(serialize_spec(small_iid_spec()).find("key ="),
             std::string::npos);
+}
+
+TEST(SpecCompile, KeySweepTakesIntegerValuesFrom100000Up) {
+  // format_double writes 100000 as "1e+05"; an integer key must still
+  // read it. 1048576 packets x 64 B is exactly the per-round cap.
+  ScenarioSpec spec =
+      fig1_spec().sweep_key("session.x_packets", {100000, 1048576});
+  spec.session.payload_bytes = 64;
+  const Scenario s = compile(spec);
+  const SweepPlan plan = s.plan();
+  ASSERT_EQ(plan.size(), 2 * 36u);
+  EXPECT_EQ(plan.at(0)[0], (Param{"session.x_packets", 100000.0}));
+  EXPECT_EQ(plan.at(36)[0], (Param{"session.x_packets", 1048576.0}));
+
+  // What `thinair describe` prints parses back to the same spec and text.
+  const std::string text = serialize_spec(spec);
+  EXPECT_EQ(parse_spec(text), spec);
+  EXPECT_EQ(serialize_spec(parse_spec(text)), text);
+  EXPECT_NO_THROW((void)compile(parse_spec(text)));
 }
 
 TEST(SpecCompile, KeySweepIsTheSlowestAxisAndAppliesPerValue) {

@@ -329,6 +329,7 @@ RULES = [
         scope=[
             r"^src/gf/",
             r"^src/core/",
+            r"^src/net/",
             r"^src/packet/",
             r"^src/runtime/object_pool\.h$",
             r"^src/netd/hub\.(h|cpp)$",
