@@ -44,24 +44,13 @@ double SessionResult::secret_rate_bps() const {
 
 GroupSecretSession::GroupSecretSession(net::Medium& medium,
                                        SessionConfig config)
-    : medium_(&medium) {
-  reset(medium, std::move(config));
-}
-
-void GroupSecretSession::reset(net::Medium& medium, SessionConfig config) {
+    : medium_(&medium), config_(std::move(config)) {
   if (medium.terminals().size() < 2)
     throw std::invalid_argument("GroupSecretSession: need >= 2 terminals");
-  if (config.x_packets_per_round == 0)
+  if (config_.x_packets_per_round == 0)
     throw std::invalid_argument("GroupSecretSession: N == 0");
-  if (config.payload_bytes == 0)
+  if (config_.payload_bytes == 0)
     throw std::invalid_argument("GroupSecretSession: empty payloads");
-  medium_ = &medium;
-  config_ = std::move(config);
-  next_round_ = 0;
-  // Keep the owned arena's blocks warm for the next lifecycle, but apply
-  // the watermark policy so one pathological session cannot pin its peak.
-  owned_arena_.reset();
-  owned_arena_.trim_to_watermark();
 }
 
 SessionResult GroupSecretSession::run() {
@@ -115,7 +104,7 @@ RoundOutcome GroupSecretSession::run_round(packet::NodeId alice,
   const YPool& pool = phase1.build.pool;
 
   // Broadcasts reuse one scratch packet: its payload buffer keeps its
-  // capacity across rounds and pooled lifetimes.
+  // capacity across rounds.
   scratch_pkt_.kind = packet::Kind::kAnnouncement;
   scratch_pkt_.source = alice;
   scratch_pkt_.round = round;

@@ -89,21 +89,14 @@ class GroupSecretSession {
  public:
   /// The medium must have >= 2 attached terminals. Eavesdroppers attached
   /// to the medium are scored as one (multi-antenna) adversary holding the
-  /// union of their receptions.
+  /// union of their receptions. Throws std::invalid_argument on too few
+  /// terminals, N == 0 or empty payloads.
   GroupSecretSession(net::Medium& medium, SessionConfig config);
-
-  /// Restore construction-equivalent state on a new medium/config: the
-  /// round counter restarts at 0 and the owned arena is rewound (blocks
-  /// retained, then trimmed to the watermark policy), so a pooled session
-  /// behaves bit-for-bit like a freshly constructed one — the contract
-  /// runtime::ObjectPool relies on and the golden-NDJSON suites pin.
-  /// Validates before mutating: on throw the previous state is intact.
-  void reset(net::Medium& medium, SessionConfig config);
 
   /// Run the configured number of rounds and return the result. May be
   /// called repeatedly; each call continues the same virtual clock and
   /// round counter but returns an independent result (ledger delta of
-  /// this run only). reset() restarts the lifecycle instead.
+  /// this run only).
   SessionResult run();
 
   [[nodiscard]] const SessionConfig& config() const { return config_; }
@@ -116,13 +109,12 @@ class GroupSecretSession {
     return config_.arena != nullptr ? *config_.arena : owned_arena_;
   }
 
-  net::Medium* medium_;  // never null; reset() rebinds
+  net::Medium* medium_;  // never null
   SessionConfig config_;
   packet::PayloadArena owned_arena_;  // used when config_.arena is null
   std::uint32_t next_round_ = 0;
-  // Round-loop scratch reused across rounds and (via reset()) across
-  // pooled lifetimes: contents are rewritten every use, only capacity
-  // survives, so reuse cannot change observable bytes.
+  // Round-loop scratch reused across rounds: contents are rewritten every
+  // use, only capacity survives, so reuse cannot change observable bytes.
   packet::Packet scratch_pkt_;
   std::vector<std::size_t> receiver_cells_;
 };

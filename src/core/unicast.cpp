@@ -13,22 +13,13 @@
 namespace thinair::core {
 
 UnicastSession::UnicastSession(net::Medium& medium, SessionConfig config)
-    : medium_(&medium) {
-  reset(medium, std::move(config));
-}
-
-void UnicastSession::reset(net::Medium& medium, SessionConfig config) {
+    : medium_(&medium), config_(std::move(config)) {
   if (medium.terminals().size() < 2)
     throw std::invalid_argument("UnicastSession: need >= 2 terminals");
-  if (config.x_packets_per_round == 0)
+  if (config_.x_packets_per_round == 0)
     throw std::invalid_argument("UnicastSession: N == 0");
-  if (config.payload_bytes == 0)
+  if (config_.payload_bytes == 0)
     throw std::invalid_argument("UnicastSession: empty payloads");
-  medium_ = &medium;
-  config_ = std::move(config);
-  next_round_ = 0;
-  owned_arena_.reset();
-  owned_arena_.trim_to_watermark();
 }
 
 SessionResult UnicastSession::run() {
@@ -77,7 +68,7 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
   const YPool& pool = phase1.build.pool;
 
   // The announcement and every ciphertext reuse one scratch packet: its
-  // payload buffer keeps its capacity across rounds and pooled lifetimes.
+  // payload buffer keeps its capacity across rounds.
   scratch_pkt_.kind = packet::Kind::kAnnouncement;
   scratch_pkt_.source = alice;
   scratch_pkt_.round = round;

@@ -19,11 +19,8 @@ namespace thinair::core {
 /// side by side.
 class UnicastSession {
  public:
+  /// Same preconditions and throws as GroupSecretSession's constructor.
   UnicastSession(net::Medium& medium, SessionConfig config);
-
-  /// Restore construction-equivalent state on a new medium/config —
-  /// the same pooled-lifecycle contract as GroupSecretSession::reset().
-  void reset(net::Medium& medium, SessionConfig config);
 
   SessionResult run();
 
@@ -37,7 +34,7 @@ class UnicastSession {
     return config_.arena != nullptr ? *config_.arena : owned_arena_;
   }
 
-  net::Medium* medium_;  // never null; reset() rebinds
+  net::Medium* medium_;  // never null
   SessionConfig config_;
   packet::PayloadArena owned_arena_;  // used when config_.arena is null
   std::uint32_t next_round_ = 0;

@@ -66,15 +66,15 @@ void SessionHub::on_datagram(std::span<const std::uint8_t> bytes, double now_s,
                                            f.header.node))});
         return;
       }
-      it->second->last_active_s = now_s;
-      handle_broadcast(*it->second, f, out);
+      it->second.last_active_s = now_s;
+      handle_broadcast(it->second, f, out);
       return;
     }
     case FrameType::kNack: {
       auto it = sessions_.find(id);
       if (it == sessions_.end()) return;
-      it->second->last_active_s = now_s;
-      handle_nack(*it->second, f, out);
+      it->second.last_active_s = now_s;
+      handle_nack(it->second, f, out);
       return;
     }
     case FrameType::kBye: {
@@ -87,8 +87,8 @@ void SessionHub::on_datagram(std::span<const std::uint8_t> bytes, double now_s,
                                            f.header.node))});
         return;
       }
-      it->second->last_active_s = now_s;
-      handle_bye(id, *it->second, f, out);
+      it->second.last_active_s = now_s;
+      handle_bye(id, it->second, f, out);
       return;
     }
     default:
@@ -101,7 +101,9 @@ void SessionHub::handle_attach(const Frame& f, double now_s,
                                std::vector<Outgoing>& out) {
   const std::uint64_t id = f.header.session;
   const std::uint16_t node = f.header.node;
-  const std::uint16_t expected = static_cast<std::uint16_t>(f.header.aux);
+  // The declared roster size, checked at its full 32-bit width: the low
+  // 16 bits of 65538 would pass the range check as 2.
+  const std::uint32_t expected = f.header.aux;
 
   auto reply_error = [&](std::string_view why) {
     Frame e = make_control(FrameType::kError, id, node);
@@ -120,13 +122,13 @@ void SessionHub::handle_attach(const Frame& f, double now_s,
       return;
     }
     it = sessions_
-             .emplace(id, session_pool_.acquire_scoped(channel::Rng(
-                              runtime::derive_seed(config_.seed, id))))
+             .try_emplace(id,
+                          channel::Rng(runtime::derive_seed(config_.seed, id)))
              .first;
-    it->second->expected = expected;
+    it->second.expected = static_cast<std::uint16_t>(expected);
     stats_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
   }
-  Session& s = *it->second;
+  Session& s = it->second;
   s.last_active_s = now_s;
 
   auto send_ready = [&](std::uint16_t to) {
@@ -275,7 +277,7 @@ void SessionHub::handle_bye(std::uint64_t id, Session& s, const Frame& f,
       s.members.begin(), s.members.end(),
       [](const auto& kv) { return kv.second.bye; });
   if (all_done) {
-    sessions_.erase(id);
+    sessions_.erase(id);  // destroys s: nothing below may touch it
     stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -283,22 +285,17 @@ void SessionHub::handle_bye(std::uint64_t id, Session& s, const Frame& f,
 void SessionHub::on_tick(double now_s, std::vector<Outgoing>& out) {
   util::MutexLock lock(&mu_);
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (it->second->last_active_s + config_.idle_timeout_s > now_s) {
+    if (it->second.last_active_s + config_.idle_timeout_s > now_s) {
       ++it;
       continue;
     }
     const std::uint64_t id = it->first;
-    for (const auto& [mid, member] : it->second->members)
+    for (const auto& [mid, member] : it->second.members)
       out.push_back({id, mid, encode(make_control(FrameType::kExpired, id,
                                                   mid))});
     it = sessions_.erase(it);
     stats_.sessions_expired.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-runtime::PoolCounters SessionHub::session_pool_counters() const {
-  util::MutexLock lock(&mu_);
-  return session_pool_.stats().snapshot();
 }
 
 }  // namespace thinair::netd

@@ -39,7 +39,6 @@
 
 #include "channel/rng.h"
 #include "netd/wire.h"
-#include "runtime/object_pool.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -98,10 +97,6 @@ class SessionHub {
     return sessions_.contains(id);
   }
 
-  /// Counters of the session free-list pool (create/destroy churn reuses
-  /// session records instead of rebuilding them).
-  [[nodiscard]] runtime::PoolCounters session_pool_counters() const;
-
  private:
   struct AckKey {
     std::uint8_t type = 0;
@@ -129,18 +124,7 @@ class SessionHub {
     std::map<std::uint16_t, Member> members;
 
     explicit Session(channel::Rng r) : rng(r) {}
-
-    /// Construction-equivalent state for pooled reuse (every field a
-    /// fresh Session(r) would hold — the runtime::ObjectPool contract).
-    void reset(channel::Rng r) {
-      expected = 0;
-      ready = false;
-      rng = r;
-      last_active_s = 0.0;
-      members.clear();
-    }
   };
-  using SessionHandle = runtime::ObjectPool<Session>::Handle;
 
   void handle_attach(const Frame& f, double now_s, std::vector<Outgoing>& out)
       THINAIR_REQUIRES(mu_);
@@ -169,14 +153,9 @@ class SessionHub {
   // the erasure-draw determinism argument assumes kData frames are
   // processed one at a time per session.
   mutable util::Mutex mu_;
-  // Session records are pooled: close/expire releases the record to the
-  // free list and the next attach reuses it via reset(), so attach/bye
-  // churn does not allocate per session. Declared before sessions_ so the
-  // handles release into a live pool during destruction.
-  runtime::ObjectPool<Session> session_pool_ THINAIR_GUARDED_BY(mu_);
   // Ordered by session id: the expiry scan, and the kExpired frames it
   // emits, follow that order.
-  std::map<std::uint64_t, SessionHandle> sessions_ THINAIR_GUARDED_BY(mu_);
+  std::map<std::uint64_t, Session> sessions_ THINAIR_GUARDED_BY(mu_);
 };
 
 }  // namespace thinair::netd

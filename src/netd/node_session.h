@@ -82,9 +82,9 @@ class NodeSession {
   /// Restore construction-equivalent state for a new config: every state
   /// machine field returns to its initial value; the payload arena keeps
   /// its blocks (trimmed to the watermark policy) and containers keep
-  /// their capacity. A pooled NodeSession therefore derives exactly the
-  /// bytes a freshly constructed one would — the runtime::ObjectPool
-  /// contract the daemon's churn path relies on.
+  /// their capacity. A reused NodeSession therefore derives exactly the
+  /// bytes a freshly constructed one would, which lets a load generator
+  /// re-key one terminal object group after group.
   void reset(NodeConfig config);
 
   /// Queue the attach handshake. Idempotent.

@@ -68,7 +68,7 @@ class PayloadArena {
   /// needs a reset() first. Returns the bytes released.
   std::size_t trim(std::size_t max_retained_bytes);
 
-  /// The trim policy for pooled reuse: keep roughly twice the recent
+  /// The trim policy for a reused arena: keep roughly twice the recent
   /// per-epoch peak (the decaying high-watermark) so steady-state reuse
   /// never reallocates, while one pathological epoch stops pinning its
   /// peak for the process lifetime. Returns the bytes released.

@@ -27,7 +27,7 @@ struct ReceptionReport {
 };
 
 [[nodiscard]] Payload encode(const ReceptionReport& r);
-/// encode() into a caller-owned payload (cleared first): a pooled session
+/// encode() into a caller-owned payload (cleared first): a session
 /// re-encoding into the same buffer every round reuses its capacity.
 void encode_into(const ReceptionReport& r, Payload& out);
 [[nodiscard]] std::optional<ReceptionReport> decode_report(

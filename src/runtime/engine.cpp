@@ -22,11 +22,6 @@ packet::PayloadArena& worker_arena() {
   return arena;
 }
 
-WorkerPools& worker_pools() {
-  thread_local WorkerPools pools;
-  return pools;
-}
-
 RunStats run_scenario(const Scenario& scenario, const RunOptions& options,
                       ResultSink& sink) {
   const SweepPlan plan = scenario.plan();

@@ -14,10 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/session.h"
-#include "core/unicast.h"
 #include "packet/arena.h"
-#include "runtime/object_pool.h"
 #include "runtime/result_sink.h"
 #include "runtime/scenario.h"
 
@@ -78,20 +75,5 @@ std::vector<std::pair<CaseSpec, CaseResult>> run_scenario_collect(
 /// payload. Arena contents never outlive a case and never cross threads,
 /// so the determinism contract is unaffected.
 [[nodiscard]] packet::PayloadArena& worker_arena();
-
-/// The calling worker's session pools: free-list recycled
-/// GroupSecretSession / UnicastSession objects plus an arena pool for
-/// per-session arenas. Scenario case functions acquire sessions here
-/// (acquire == construct bit-for-bit, by the reset() contract), so a
-/// sweep of thousands of cases reuses one session object per worker
-/// instead of rebuilding per-session state per case. Pool objects never
-/// cross threads; acquisition order per worker is irrelevant to output
-/// bytes, so the determinism contract is unaffected.
-struct WorkerPools {
-  ObjectPool<core::GroupSecretSession> group_sessions;
-  ObjectPool<core::UnicastSession> unicast_sessions;
-  ArenaPool arenas;
-};
-[[nodiscard]] WorkerPools& worker_pools();
 
 }  // namespace thinair::runtime

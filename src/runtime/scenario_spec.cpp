@@ -513,8 +513,6 @@ core::SessionResult run_testbed_session(const Compiled& c,
   exp.channel = spec.channel.testbed;
   exp.mac = spec.mac;
   exp.seed = seed;
-  exp.group_pool = &worker_pools().group_sessions;
-  exp.unicast_pool = &worker_pools().unicast_sessions;
   return (unicast ? run_unicast_experiment(exp) : run_experiment(exp)).session;
 }
 
@@ -533,16 +531,8 @@ core::SessionResult run_flat_session(const Compiled& c,
   medium.attach(packet::NodeId{static_cast<std::uint16_t>(n)},
                 net::Role::kEavesdropper);
   const core::SessionConfig cfg = make_session_config(c, series);
-  // Sessions come from the worker's free-list pool: acquire() is
-  // equivalent to construction (reset() contract), so bytes are pinned
-  // to the unpooled path by the golden suites.
-  WorkerPools& pools = worker_pools();
-  if (unicast) {
-    const auto session = pools.unicast_sessions.acquire_scoped(medium, cfg);
-    return session->run();
-  }
-  const auto session = pools.group_sessions.acquire_scoped(medium, cfg);
-  return session->run();
+  if (unicast) return core::UnicastSession(medium, cfg).run();
+  return core::GroupSecretSession(medium, cfg).run();
 }
 
 void append_session_metrics(std::vector<Metric>& metrics,

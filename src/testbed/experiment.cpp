@@ -1,7 +1,6 @@
 #include "testbed/experiment.h"
 
 #include <stdexcept>
-#include <type_traits>
 
 #include "core/unicast.h"
 
@@ -35,18 +34,8 @@ ExperimentResult run_with(const ExperimentConfig& config) {
     for (channel::CellIndex c : config.placement.terminal_cells)
       session_config.estimator.occupied_cells.push_back(c.value);
 
-  runtime::ObjectPool<Session>* pool;
-  if constexpr (std::is_same_v<Session, core::GroupSecretSession>)
-    pool = config.group_pool;
-  else
-    pool = config.unicast_pool;
-  if (pool != nullptr) {
-    const auto session = pool->acquire_scoped(medium, session_config);
-    return ExperimentResult{session->run(), n, config.placement};
-  }
   Session session(medium, session_config);
-  ExperimentResult result{session.run(), n, config.placement};
-  return result;
+  return ExperimentResult{session.run(), n, config.placement};
 }
 
 }  // namespace

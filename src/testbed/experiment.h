@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "core/session.h"
-#include "core/unicast.h"
-#include "runtime/object_pool.h"
 #include "testbed/layout.h"
 
 namespace thinair::testbed {
@@ -25,12 +23,6 @@ struct ExperimentConfig {
   channel::TestbedChannel::Config channel;
   net::MacParams mac;  // defaults match the paper: 1 Mbps, 12 ms slots
   std::uint64_t seed = 1;
-  /// When set, the experiment's session is acquired from these free-list
-  /// pools instead of constructed (the engine passes its per-worker
-  /// pools). Acquire is construction-equivalent (reset() contract), so
-  /// results are byte-identical either way. Null = construct locally.
-  runtime::ObjectPool<core::GroupSecretSession>* group_pool = nullptr;
-  runtime::ObjectPool<core::UnicastSession>* unicast_pool = nullptr;
 };
 
 struct ExperimentResult {

@@ -35,13 +35,6 @@ expect_usage micro_engine --push-samples 0
 expect_usage micro_engine --push-samples 10x
 expect_usage micro_engine --threads 2
 
-expect_usage micro_sessions --sessions 0
-expect_usage micro_sessions --packets -3
-expect_usage micro_sessions --payload 0
-expect_usage micro_sessions --rss-tol abc
-expect_usage micro_sessions --rss-tol -0.1
-expect_usage micro_sessions --rss-tol nan
-
 expect_usage micro_daemon --sessions 0
 expect_usage micro_daemon --sessions 1000001
 expect_usage micro_daemon --packets abc

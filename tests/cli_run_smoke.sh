@@ -2,7 +2,8 @@
 # `thinair run` through the real binary: three cut-down sweeps must give
 # the expected line counts and byte-identical NDJSON at --threads 1 and
 # --threads 4, the retired distributed-sweep surface must be rejected
-# with the usage text, and an oversized spec must fail at compile time.
+# with the usage text, an oversized spec must fail at compile time, and
+# output that cannot be written must fail the run.
 #
 #   usage: cli_run_smoke.sh /path/to/thinair
 set -u
@@ -78,5 +79,20 @@ expect_exit 1 "invalid spec:" run fig2 --set sweep.repeats=20000 --limit 1
 # compiler bounds the session sizes.
 expect_exit 1 "invalid spec:" run fig1 --set session.x_packets=4294967296 \
   --limit 1
+
+# A full device takes no NDJSON byte: the run must say so and exit 1,
+# whether --out names it or stdout is redirected to it.
+if [ -w /dev/full ]; then
+  expect_exit 1 "cannot write /dev/full" run fig1 --limit 2 \
+    --out /dev/full --quiet
+  "$THINAIR" run fig1 --limit 2 --out - >/dev/full 2>"$WORK/err"
+  status=$?
+  [ "$status" -eq 1 ] || fail "run --out - >/dev/full exited $status, want 1"
+  grep -qF -- "cannot write -" "$WORK/err" ||
+    fail "run --out - >/dev/full: no 'cannot write -' on stderr"
+  echo "thinair run --out - >/dev/full: exit 1"
+else
+  echo "skip: /dev/full is not writable here"
+fi
 
 echo "PASS"

@@ -1,7 +1,6 @@
-// Fixture: session churn that rebuilds per-session state from the global
-// heap. At the 10k-session target every new/malloc here runs at session
-// rate — exactly what the free-list pools (runtime/object_pool.h) exist
-// to amortise away.
+// Fixture: session churn that rebuilds per-session state with raw
+// new/malloc, once per session. Owning containers and the arena hold such
+// state without a hand-paired delete/free.
 #include <cstdint>
 #include <cstdlib>
 

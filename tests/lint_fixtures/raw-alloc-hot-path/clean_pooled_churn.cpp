@@ -1,6 +1,6 @@
-// Fixture: the approved churn shape — sessions recycled acquire/reset/
-// release style from a free list, backing storage owned by smart pointers
-// populated outside the steady-state loop.
+// Fixture: a lint-clean churn shape — sessions recycled from a free list
+// whose backing storage is owned by smart pointers, so the churn loop
+// holds no raw new/malloc.
 #include <cstddef>
 #include <memory>
 #include <vector>

@@ -1,8 +1,8 @@
 // In-process exercise of the thinaird core: NodeSessions pumped against a
 // SessionHub with no sockets involved. Covers multi-party key equality,
 // cross-run determinism, keys pinned to a recorded digest, heavy loss,
-// relay loss + kNack recovery, the eavesdropper attach, idle expiry
-// through the on_tick scan, and the hub counters.
+// relay loss + kNack recovery, the eavesdropper attach, roster-size
+// checks, idle expiry through the on_tick scan, and the hub counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -522,9 +523,9 @@ TEST(NetdHub, RejectsGarbageAndCountsIt) {
   EXPECT_TRUE(out.empty());
 }
 
-// attach/bye churn must recycle the pooled session records: after the
-// first cycle, opening a session costs a reset(), not a construction.
-TEST(NetdHub, AttachByeChurnRecyclesSessionRecords) {
+// attach/bye churn: each cycle opens one session and its last kBye closes
+// it, so the table is empty between cycles and the counters match.
+TEST(NetdHub, AttachByeChurnClosesEverySession) {
   SessionHub hub(HubConfig{});
   std::vector<Outgoing> out;
   const auto control = [](FrameType t, std::uint64_t session,
@@ -552,13 +553,33 @@ TEST(NetdHub, AttachByeChurnRecyclesSessionRecords) {
     ASSERT_EQ(hub.session_count(), 0u);
   }
 
-  const runtime::PoolCounters c = hub.session_pool_counters();
-  EXPECT_EQ(c.acquired, kCycles);
-  EXPECT_EQ(c.released, kCycles);
-  EXPECT_EQ(c.constructed, 1u) << "churn rebuilt records instead of recycling";
-  EXPECT_GE(c.hit_rate(), 0.99);
   EXPECT_EQ(hub.stats().sessions_opened.load(), kCycles);
   EXPECT_EQ(hub.stats().sessions_closed.load(), kCycles);
+}
+
+// The declared roster size is range-checked at its full 32-bit width:
+// 65538 must not pass as its low 16 bits, 2, and open a 2-member session.
+TEST(NetdHub, AttachRejectsRosterSizePastSixteenBits) {
+  SessionHub hub(HubConfig{});
+  std::vector<Outgoing> out;
+  Frame attach;
+  attach.header.type = static_cast<std::uint8_t>(FrameType::kAttach);
+  attach.header.session = 9;
+  attach.header.aux = 65538;
+  for (std::uint16_t node = 0; node < 2; ++node) {
+    attach.header.node = node;
+    out.clear();
+    hub.on_datagram(encode(attach), 0.0, out);
+    ASSERT_EQ(out.size(), 1u) << "node " << node;
+    const DecodeResult d = decode(out[0].datagram);
+    ASSERT_TRUE(d.frame.has_value());
+    EXPECT_EQ(static_cast<FrameType>(d.frame->header.type), FrameType::kError)
+        << "node " << node;
+    EXPECT_EQ(std::string(d.frame->payload.begin(), d.frame->payload.end()),
+              "attach: expected member count out of range");
+  }
+  EXPECT_FALSE(hub.has_session(9));
+  EXPECT_EQ(hub.stats().sessions_opened.load(), 0u);
 }
 
 // Pumps two externally owned NodeSessions against a hub to completion and

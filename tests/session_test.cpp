@@ -140,9 +140,11 @@ TEST(Session, ValidatesConfig) {
   SessionConfig bad = oracle_config();
   bad.x_packets_per_round = 0;
   EXPECT_THROW(GroupSecretSession(net.medium, bad), std::invalid_argument);
+  EXPECT_THROW(UnicastSession(net.medium, bad), std::invalid_argument);
   bad = oracle_config();
   bad.payload_bytes = 0;
   EXPECT_THROW(GroupSecretSession(net.medium, bad), std::invalid_argument);
+  EXPECT_THROW(UnicastSession(net.medium, bad), std::invalid_argument);
 }
 
 TEST(Session, NeedsTwoTerminals) {

@@ -7,10 +7,9 @@ Usage: check_bench.py BASELINE FRESH [--tolerance F]
 The fresh file's "bench" field picks a rule table from BENCHES: the
 top-level keys the file must carry, then rules checked in order. The
 first rule that fails ends the run with exit 1. Absolute numbers move
-with the runner hardware, so only two rules compare them with the
-snapshot, each within a --tolerance (engine 1-thread cases/s, default
-0.10; sessions/s, default 0.50). The others hold the bench's own
-contract.
+with the runner hardware, so only one rule compares them with the
+snapshot, within a --tolerance (engine 1-thread cases/s, default 0.10).
+The others hold the bench's own contract.
 
 Before the rules run, every number is printed with its change vs the
 snapshot, then both files' host fingerprints and whether they match.
@@ -171,54 +170,6 @@ ENGINE = Bench(
                                 speedup_max_vs_1=1.0)),
     ])
 
-# ------------------------------------------------------------ sessions
-MIN_HIT_RATE = 0.99
-MAX_RSS_GROWTH = 0.05
-
-
-def sessions_throughput_drop(base, fresh, tolerance):
-    ref = base.get("sessions_per_s", 0)
-    if ref > 0 and drop(ref, fresh["sessions_per_s"]) > tolerance:
-        return (f"sessions/s regressed "
-                f"{100 * drop(ref, fresh['sessions_per_s']):.1f}% "
-                f"(> {100 * tolerance:.0f}% tolerance): the session "
-                "lifecycle got slower")
-    return None
-
-
-SESSIONS = Bench(
-    keys=("sessions", "completed", "with_nonzero_secret", "verified_vs_fresh",
-          "sessions_per_s", "wall_s", "pool_acquired", "pool_constructed",
-          "pool_hit_rate", "arena_trimmed_bytes", "arena_capacity_bytes",
-          "rss_mid_kb", "rss_final_kb", "rss_growth_final_half_frac"),
-    tolerance=0.50,
-    rules=[
-        Rule(lambda b, f, t: f["completed"] != f["sessions"]
-             and f"only {f['completed']}/{f['sessions']} cycles completed",
-             lambda d: d.update(completed=d["completed"] - 1)),
-        Rule(lambda b, f, t: f["verified_vs_fresh"] == 0
-             and "no cycles were verified against fresh construction",
-             lambda d: d.update(verified_vs_fresh=0)),
-        Rule(lambda b, f, t: f["pool_acquired"] < f["sessions"]
-             and ("pool acquired fewer objects than sessions ran: stats "
-                  "are malformed"),
-             lambda d: d.update(pool_acquired=d["sessions"] - 1)),
-        Rule(lambda b, f, t: f["pool_hit_rate"] < MIN_HIT_RATE
-             and (f"pool hit rate {f['pool_hit_rate']:.4f} < {MIN_HIT_RATE}: "
-                  "session churn is constructing instead of recycling"),
-             lambda d: d.update(pool_hit_rate=0.5)),
-        Rule(lambda b, f, t: f["arena_trimmed_bytes"] == 0
-             and "arena trimmed 0 bytes: the watermark trim policy never fired",
-             lambda d: d.update(arena_trimmed_bytes=0)),
-        Rule(lambda b, f, t: f["rss_growth_final_half_frac"] > MAX_RSS_GROWTH
-             and (f"RSS grew {100 * f['rss_growth_final_half_frac']:.1f}% "
-                  f"over the final half (> {100 * MAX_RSS_GROWTH:.0f}%): "
-                  "pooled steady state is leaking"),
-             lambda d: d.update(rss_growth_final_half_frac=0.06)),
-        Rule(sessions_throughput_drop,
-             lambda d: d.update(sessions_per_s=d["sessions_per_s"] * 0.4)),
-    ])
-
 # -------------------------------------------------------------- daemon
 # micro_daemon exits nonzero unless every session agreed on its key. CI
 # runs 50 sessions against the 1000-session snapshot, so its numbers are
@@ -241,8 +192,7 @@ DAEMON = Bench(
                  p50_time_to_key_ms=d["p99_time_to_key_ms"] + 1)),
     ])
 
-BENCHES = {"micro_gf": GF, "micro_engine": ENGINE,
-           "micro_sessions": SESSIONS, "micro_daemon": DAEMON}
+BENCHES = {"micro_gf": GF, "micro_engine": ENGINE, "micro_daemon": DAEMON}
 
 
 def fingerprint(doc):

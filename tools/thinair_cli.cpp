@@ -117,6 +117,12 @@ int cmd_run(const tools::RunArgs& args) {
     std::fprintf(stderr, "run failed: %s\n", e.what());
     return 1;
   }
+  // The sink has flushed the stream, so a failed write (a full disk,
+  // say) shows here as a bad stream.
+  if (ndjson != nullptr && !*ndjson) {
+    std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
+    return 1;
+  }
 
   tools::print_run_tail(*scenario, sink, stats, args.quiet,
                         ndjson == &std::cout);

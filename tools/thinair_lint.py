@@ -321,17 +321,16 @@ RULES = [
     Rule(
         "raw-alloc-hot-path",
         rule_raw_alloc_hot_path,
-        # The pooled session-lifecycle paths (runtime/object_pool.h, the
-        # hub's session records, the daemon's NodeSessions) are hot at the
-        # churn target too: create/destroy recycles pooled objects and
-        # arena blocks, so a raw new/malloc there defeats the pools the
-        # same way it defeats the arena in the round loop.
+        # The round loop (gf, core, net, packet) draws its payloads from
+        # the arena. The hub and NodeSession handle every datagram of a
+        # live session and keep their state in owning containers. A raw
+        # new/malloc in any of them bypasses the arena or those
+        # containers.
         scope=[
             r"^src/gf/",
             r"^src/core/",
             r"^src/net/",
             r"^src/packet/",
-            r"^src/runtime/object_pool\.h$",
             r"^src/netd/hub\.(h|cpp)$",
             r"^src/netd/node_session\.(h|cpp)$",
         ],
