@@ -1,6 +1,5 @@
 #include "channel/geometry.h"
 
-#include <algorithm>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
@@ -33,9 +32,11 @@ Vec2 CellGrid::center(CellIndex cell) const {
 
 CellIndex CellGrid::cell_of(Vec2 p) const {
   const double cs = cell_side();
-  const auto clamp_idx = [&](double v) {
-    const auto i = static_cast<long>(std::floor(v / cs));
-    return static_cast<std::size_t>(std::clamp(i, 0L, 2L));
+  // Compared as doubles, never cast: a huge quotient has no integer value
+  // to cast to. NaN fails both tests and lands in index 0.
+  const auto clamp_idx = [&](double v) -> std::size_t {
+    const double i = v / cs;
+    return i >= 2.0 ? 2 : i >= 1.0 ? 1 : 0;
   };
   return CellIndex{3 * clamp_idx(p.y) + clamp_idx(p.x)};
 }

@@ -49,7 +49,8 @@ class CellGrid {
   [[nodiscard]] Vec2 center(CellIndex cell) const;
 
   /// Cell containing the given point (points on the boundary go to the
-  /// higher-index cell; out-of-area points clamp to the nearest cell).
+  /// higher-index cell; out-of-area points, however far, clamp to the
+  /// nearest cell; a NaN coordinate counts as below the area).
   [[nodiscard]] CellIndex cell_of(Vec2 p) const;
 
   /// All 9 cell centres, by index.

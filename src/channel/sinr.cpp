@@ -13,11 +13,15 @@ double packet_error_rate(double sinr, const SinrParams& params) {
   return std::clamp(per, params.floor, params.ceiling);
 }
 
+double interference_plus_noise_db(double interference_mw,
+                                  const SinrParams& params) {
+  return linear_to_db(db_to_linear(params.noise_floor_dbm) + interference_mw);
+}
+
 double sinr_db(double signal_mw, double interference_mw,
                const SinrParams& params) {
-  const double denom_mw =
-      db_to_linear(params.noise_floor_dbm) + interference_mw;
-  return linear_to_db(signal_mw) - linear_to_db(denom_mw);
+  return linear_to_db(signal_mw) -
+         interference_plus_noise_db(interference_mw, params);
 }
 
 }  // namespace thinair::channel

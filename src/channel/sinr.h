@@ -27,7 +27,13 @@ struct SinrParams {
 [[nodiscard]] double packet_error_rate(double sinr_db,
                                        const SinrParams& params);
 
-/// SINR (dB) from received signal power and interference power (both mW).
+/// Interference plus the noise floor (dB), from interference power (mW):
+/// the denominator of sinr_db.
+[[nodiscard]] double interference_plus_noise_db(double interference_mw,
+                                                const SinrParams& params);
+
+/// SINR (dB) from received signal power and interference power (both mW):
+/// linear_to_db(signal_mw) - interference_plus_noise_db(interference_mw).
 [[nodiscard]] double sinr_db(double signal_mw, double interference_mw,
                              const SinrParams& params);
 

@@ -1,5 +1,6 @@
 #include "channel/testbed_channel.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace thinair::channel {
@@ -10,18 +11,61 @@ TestbedChannel::TestbedChannel(Config config)
       schedule_(config.grid, config.interferer) {}
 
 void TestbedChannel::place(packet::NodeId node, Vec2 position) {
-  positions_[node] = position;
+  const std::size_t v = node.value;
+  if (v >= kMaxNodes)
+    throw std::out_of_range("TestbedChannel: node id must be below 64");
+  Node placing{position, {}};
+  for (std::size_t p = 0; p < kPatterns; ++p) {
+    // Slot p runs pattern p, as every slot s runs pattern s mod 9.
+    const double interference_mw =
+        config_.interference_enabled
+            ? schedule_.interference_mw(position, p, pathloss_)
+            : 0.0;
+    placing.noise_db[p] =
+        interference_plus_noise_db(interference_mw, config_.sinr);
+  }
+  if (v >= nodes_.size()) grow(v + 1);
+  // v reads as unplaced until its row and column are refreshed, so a
+  // throw from fill_link leaves it unplaced rather than half-moved.
+  nodes_[v].reset();
+  fill_link(v, placing, v, placing);
+  for (std::size_t u = 0; u < nodes_.size(); ++u) {
+    if (!nodes_[u].has_value()) continue;
+    fill_link(v, placing, u, *nodes_[u]);
+    fill_link(u, *nodes_[u], v, placing);
+  }
+  nodes_[v] = placing;
 }
 
 void TestbedChannel::place_in_cell(packet::NodeId node, CellIndex cell) {
   place(node, config_.grid.center(cell));
 }
 
+void TestbedChannel::grow(std::size_t n) {
+  const std::size_t old = nodes_.size();
+  std::vector<double> table(n * n * kPatterns);
+  for (std::size_t tx = 0; tx < old; ++tx)
+    std::copy_n(erasure_.data() + tx * old * kPatterns, old * kPatterns,
+                table.data() + tx * n * kPatterns);
+  nodes_.resize(n);
+  erasure_ = std::move(table);
+}
+
+void TestbedChannel::fill_link(std::size_t tx, const Node& from,
+                               std::size_t rx, const Node& to) {
+  // sinr_db's two terms, taken apart: the denominator was computed once
+  // per pattern when `to` was placed.
+  const double signal_db =
+      linear_to_db(pathloss_.rx_power_mw(distance(from.position, to.position)));
+  double* const out = erasure_.data() + (tx * nodes_.size() + rx) * kPatterns;
+  for (std::size_t p = 0; p < kPatterns; ++p)
+    out[p] = packet_error_rate(signal_db - to.noise_db[p], config_.sinr);
+}
+
 Vec2 TestbedChannel::position_of(packet::NodeId node) const {
-  const auto it = positions_.find(node);
-  if (it == positions_.end())
+  if (!placed(node.value))
     throw std::out_of_range("TestbedChannel: node not placed");
-  return it->second;
+  return nodes_[node.value]->position;
 }
 
 CellIndex TestbedChannel::cell_of(packet::NodeId node) const {
@@ -41,8 +85,12 @@ double TestbedChannel::link_sinr_db(packet::NodeId tx, packet::NodeId rx,
 }
 
 double TestbedChannel::erasure_probability(const LinkContext& link) const {
-  return packet_error_rate(link_sinr_db(link.tx, link.rx, link.slot),
-                           config_.sinr);
+  const std::size_t tx = link.tx.value;
+  const std::size_t rx = link.rx.value;
+  if (!placed(tx) || !placed(rx))
+    throw std::out_of_range("TestbedChannel: node not placed");
+  return erasure_[(tx * nodes_.size() + rx) * kPatterns +
+                  link.slot % kPatterns];
 }
 
 }  // namespace thinair::channel

@@ -307,6 +307,17 @@ Compiled validate(const ScenarioSpec& spec) {
       if (series.kind == core::EstimatorKind::kGeometry)
         fail(spec, "estimator 'geometry' requires channel.model = testbed");
 
+  // A non-finite coordinate has no cell and no path loss: caught here, it
+  // would otherwise fail every case in the channel.
+  const auto finite = [](channel::Vec2 v) {
+    return std::isfinite(v.x) && std::isfinite(v.y);
+  };
+  if (!std::all_of(spec.topology.positions.begin(),
+                   spec.topology.positions.end(), finite) ||
+      (spec.topology.eve_position.has_value() &&
+       !finite(*spec.topology.eve_position)))
+    fail(spec, "topology.positions and eve_position must be finite");
+
   const bool explicit_topology =
       !spec.topology.cells.empty() || !spec.topology.positions.empty();
   if (explicit_topology && !c.testbed)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -254,11 +255,16 @@ channel::LinkErasure parse_link_item(const std::string& path,
   const std::size_t colon = item.find(':', gt == std::string::npos ? 0 : gt);
   if (gt == std::string::npos || colon == std::string::npos)
     fail(path, "bad link '" + item + "' (want \"tx>rx:p\", e.g. \"0>1:0.25\")");
+  // Node ids are 16-bit; a wider one must not wrap onto another link.
+  const auto node_id = [&](const std::string& id_text) {
+    const std::size_t id = parse_integer(path, id_text);
+    if (id > std::numeric_limits<std::uint16_t>::max())
+      fail(path, "node id " + id_text + " above 65535 in link '" + item + "'");
+    return static_cast<std::uint16_t>(id);
+  };
   channel::LinkErasure link;
-  link.tx = static_cast<std::uint16_t>(
-      parse_integer(path, item.substr(0, gt)));
-  link.rx = static_cast<std::uint16_t>(
-      parse_integer(path, item.substr(gt + 1, colon - gt - 1)));
+  link.tx = node_id(item.substr(0, gt));
+  link.rx = node_id(item.substr(gt + 1, colon - gt - 1));
   link.p = parse_number(path, item.substr(colon + 1));
   check_probability(path, link.p);
   return link;

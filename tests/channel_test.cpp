@@ -2,6 +2,8 @@
 // erasure models.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "channel/erasure.h"
 #include "channel/geometry.h"
 #include "channel/pathloss.h"
@@ -85,6 +87,13 @@ TEST(Geometry, CellOfClampsOutside) {
   const CellGrid grid;
   EXPECT_EQ(grid.cell_of({-1.0, -1.0}).value, 0u);
   EXPECT_EQ(grid.cell_of({100.0, 100.0}).value, 8u);
+  // Past any integer's range the quotient must still clamp, not be cast
+  // (2.0 m lies in row/column 1 of the 14 m^2 grid).
+  EXPECT_EQ(grid.cell_of({1e300, 2.0}).value, 5u);
+  EXPECT_EQ(grid.cell_of({-1e300, 2.0}).value, 3u);
+  EXPECT_EQ(grid.cell_of({2.0, 1e300}).value, 7u);
+  EXPECT_EQ(grid.cell_of({2.0, -1e300}).value, 1u);
+  EXPECT_EQ(grid.cell_of({std::nan(""), 2.0}).value, 3u);
 }
 
 TEST(Geometry, RowColDecomposition) {

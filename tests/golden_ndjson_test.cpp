@@ -6,9 +6,11 @@
 // the thread count, and the order in which cases finish. The CI workflow
 // checks that property by cmp-ing runs against each other; this suite
 // pins it harder, as SHA-256 digests of the complete fig1/fig2/headline
-// runs. Any change to the simulation's bytes — an estimator tweak, a
-// kernel bug, an accidental reorder — fails here first, naming the
-// scenario and both digests.
+// runs and of two example spec files that reach testbed paths those
+// three miss (explicit off-centre coordinates, jammers off). Any change
+// to the simulation's bytes — an estimator tweak, a kernel bug, an
+// accidental reorder — fails here first, naming the scenario and both
+// digests.
 //
 // Refreshing the goldens after an INTENTIONAL result change (and only
 // then — see the "Known deviation" section of the README for the bar a
@@ -21,6 +23,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,7 +31,9 @@
 #include "gf/kernels.h"
 #include "runtime/engine.h"
 #include "runtime/result_sink.h"
+#include "runtime/scenario_spec.h"
 #include "runtime/scenarios.h"
+#include "runtime/spec_parse.h"
 #include "util/sha256.h"
 
 namespace thinair {
@@ -37,7 +42,7 @@ namespace {
 constexpr std::uint64_t kGoldenSeed = 42;
 
 struct Golden {
-  const char* scenario;
+  const char* scenario;  // a registered name, or a file in examples/specs
   const char* sha256;  // of the full NDJSON stream at kGoldenSeed
 };
 
@@ -51,6 +56,17 @@ constexpr Golden kGolden[] = {
      "978065da505a77aa99908dc9370245f191e152fe761247e93bcd52b8d29cf2b4"},
     {"headline",
      "3c72d8ac7041b21abfef50ecff27a0dc366caf08664d3ce73ae84125d8ac163e"},
+};
+
+// Digests of full runs of files in examples/specs at master seed 42,
+// recorded with the library as it stood before the testbed channel's
+// link table: the table must reproduce every erasure probability bit for
+// bit, including at off-centre coordinates and with the jammers off.
+constexpr Golden kSpecGolden[] = {
+    {"explicit_positions.toml",
+     "596640143876feee1976fa360c6c52da07a85b8dc7b51f2c25c3d435b657854b"},
+    {"interference_off.toml",
+     "c426cd53c664277b447804693efd651e6de73a80863afccac57a69e9fef798cd"},
 };
 
 // Restores the dispatched kernel after a test that overrides it.
@@ -73,6 +89,26 @@ std::string run_ndjson(const std::string& scenario_name,
   options.threads = threads;
   options.master_seed = kGoldenSeed;
   runtime::run_scenario(*scenario, options, sink);
+  return ndjson.str();
+}
+
+std::string run_spec_file_ndjson(const std::string& file,
+                                 std::size_t threads) {
+  std::ifstream in(std::string(THINAIR_EXAMPLE_SPECS_DIR) + "/" + file);
+  if (!in) {
+    ADD_FAILURE() << "cannot read examples/specs/" << file;
+    return {};
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  const runtime::Scenario scenario =
+      runtime::compile(runtime::parse_spec(text.str()));
+  std::ostringstream ndjson;
+  runtime::ResultSink sink(scenario.name, &ndjson);
+  runtime::RunOptions options;
+  options.threads = threads;
+  options.master_seed = kGoldenSeed;
+  runtime::run_scenario(scenario, options, sink);
   return ndjson.str();
 }
 
@@ -125,6 +161,16 @@ TEST(GoldenNdjson, HeadlineFullRun) {
   if (print_goldens_requested()) return;
   expect_golden(kGolden[2], run_ndjson("headline", 5),
                 "dispatched, 5 threads");
+}
+
+TEST(GoldenNdjson, ExampleSpecFullRuns) {
+  for (const Golden& golden : kSpecGolden) {
+    expect_golden(golden, run_spec_file_ndjson(golden.scenario, 1),
+                  "dispatched, 1 thread");
+    if (print_goldens_requested()) continue;
+    expect_golden(golden, run_spec_file_ndjson(golden.scenario, 5),
+                  "dispatched, 5 threads");
+  }
 }
 
 // The hash itself is pinned by FIPS 180-4 test vectors, so a golden

@@ -161,6 +161,13 @@ TEST(SpecParse, GoldenErrorMessages) {
                      "on/off), got 'maybe'");
   expect_parse_error("name = \"unterminated\n",
                      "line 1: name: unterminated string \"unterminated");
+  // Node ids are 16-bit: 65536 once wrapped to 0 and ran as link 0>1.
+  expect_parse_error("[channel]\nlinks = [\"65536>1:0.9\"]\n",
+                     "line 2: channel.links: node id 65536 above 65535 in "
+                     "link '65536>1:0.9'");
+  expect_parse_error("[channel]\nlinks = [\"1>70000:0.9\"]\n",
+                     "line 2: channel.links: node id 70000 above 65535 in "
+                     "link '1>70000:0.9'");
 }
 
 // --------------------------------------------------- [run] execution pinning
@@ -272,6 +279,15 @@ TEST(SpecCompile, RejectsInconsistentSpecs) {
   spec = small_iid_spec();
   spec.estimator.k_antennas = 0;
   expect_compile_error(spec, "estimator.k_antennas must be >= 1");
+
+  // Non-finite coordinates once compiled, then failed every case with
+  // "linear_to_db: non-positive power".
+  spec = fig2_spec();
+  spec.topology.positions = {{std::nan(""), 1.0}, {6.0, 1.0}};
+  expect_compile_error(spec, "positions and eve_position must be finite");
+  spec = fig2_spec();
+  spec.topology.eve_position = channel::Vec2{HUGE_VAL, 2.0};
+  expect_compile_error(spec, "positions and eve_position must be finite");
 
   // Sizes compile() must refuse before any plan is built. Each of these
   // once compiled, leaving run_scenario to build millions of explicit
