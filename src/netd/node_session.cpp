@@ -1,6 +1,8 @@
 #include "netd/node_session.h"
 
 #include <algorithm>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "core/estimator.h"
@@ -329,7 +331,7 @@ void NodeSession::on_ctrl(const Frame& f, double now_s) {
       if (alice_of(round) != config_.node || !alice_.has_value() ||
           round_ != round)
         return;
-      auto decoded = packet::decode_report(f.payload);
+      auto decoded = packet::decode_report(f.payload, kMaxUniverse);
       if (!decoded.has_value()) return fail("undecodable reception report");
       if (decoded->universe != config_.x_packets_per_round)
         return fail("report universe mismatch (got " +
@@ -496,8 +498,15 @@ void NodeSession::finish_receiver_round(std::uint32_t round,
 
   // Rebuild Alice's plan from public sizes alone, and the own pool view
   // from the y identities: this terminal can reconstruct y_j iff the
-  // combination's support lies inside its reception set.
-  const core::Phase2Plan plan = core::plan_phase2(m, l);
+  // combination's support lies inside its reception set. The sizes come
+  // off the wire, so a plan they cannot make (M > 255) ends the session.
+  core::Phase2Plan plan;
+  try {
+    plan = core::plan_phase2(m, l);
+  } catch (const std::exception& e) {
+    return fail(std::string("announced sizes have no phase-2 plan: ") +
+                e.what());
+  }
   if (rr.z.size() != plan.h.rows() ||
       (!rr.z.empty() && rr.z.rbegin()->first != rr.z.size() - 1))
     return fail("z-packet set incomplete at s-announcement");

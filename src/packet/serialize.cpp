@@ -39,6 +39,7 @@ class Reader {
     pos_ += 4;
     return v;
   }
+  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
   [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
 
  private:
@@ -58,9 +59,9 @@ void encode_into(const ReceptionReport& r, Payload& out) {
   out.clear();
   put_u32(out, r.universe);
   // Bitmap over the universe: ceil(N / 8) bytes, appended zeroed then set
-  // in place (no temporary).
+  // in place (no temporary). Sized in std::size_t: N + 7 wraps in 32 bits.
   const std::size_t head = out.size();
-  out.resize(head + (r.universe + 7) / 8, 0);
+  out.resize(head + (std::size_t{r.universe} + 7) / 8, 0);
   for (std::uint32_t idx : r.received) {
     if (idx < r.universe)
       out[head + idx / 8] |= static_cast<std::uint8_t>(1u << (idx % 8));
@@ -68,21 +69,15 @@ void encode_into(const ReceptionReport& r, Payload& out) {
 }
 
 std::optional<ReceptionReport> decode_report(
-    std::span<const std::uint8_t> bytes) {
+    std::span<const std::uint8_t> bytes, std::uint32_t max_universe) {
   Reader in(bytes);
   const auto universe = in.u32();
-  if (!universe) return std::nullopt;
+  if (!universe || *universe > max_universe) return std::nullopt;
+  // The bitmap is exactly the rest of the input, read in place.
+  if (in.remaining() != (std::size_t{*universe} + 7) / 8) return std::nullopt;
+  const std::span<const std::uint8_t> bitmap = bytes.last(in.remaining());
   ReceptionReport r;
   r.universe = *universe;
-  const std::size_t nbytes = (r.universe + 7) / 8;
-  std::vector<std::uint8_t> bitmap;
-  bitmap.reserve(nbytes);
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    const auto b = in.u8();
-    if (!b) return std::nullopt;
-    bitmap.push_back(*b);
-  }
-  if (!in.done()) return std::nullopt;
   for (std::uint32_t idx = 0; idx < r.universe; ++idx)
     if (bitmap[idx / 8] & (1u << (idx % 8))) r.received.push_back(idx);
   return r;
@@ -108,14 +103,17 @@ void encode_into(const Announcement& a, Payload& out) {
 
 std::optional<Announcement> decode_announcement(
     std::span<const std::uint8_t> bytes) {
+  // Reserve only what the input can fill: a combination takes at least
+  // its 2-byte term count, a term 5 bytes (u32 index, u8 coefficient).
   Reader in(bytes);
   const auto count = in.u16();
-  if (!count) return std::nullopt;
+  if (!count || in.remaining() < std::size_t{*count} * 2) return std::nullopt;
   Announcement a;
   a.combinations.reserve(*count);
   for (std::uint16_t i = 0; i < *count; ++i) {
     const auto nterms = in.u16();
-    if (!nterms) return std::nullopt;
+    if (!nterms || in.remaining() < std::size_t{*nterms} * 5)
+      return std::nullopt;
     std::vector<Term> terms;
     terms.reserve(*nterms);
     for (std::uint16_t t = 0; t < *nterms; ++t) {

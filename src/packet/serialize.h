@@ -30,8 +30,11 @@ struct ReceptionReport {
 /// encode() into a caller-owned payload (cleared first): a session
 /// re-encoding into the same buffer every round reuses its capacity.
 void encode_into(const ReceptionReport& r, Payload& out);
+/// Total: rejects (nullopt) a universe above `max_universe` and any input
+/// whose length is not exactly the encoding's, never throws, and never
+/// allocates more than the reported indices.
 [[nodiscard]] std::optional<ReceptionReport> decode_report(
-    std::span<const std::uint8_t> bytes);
+    std::span<const std::uint8_t> bytes, std::uint32_t max_universe);
 
 /// A batch of combination identities (one per derived packet).
 struct Announcement {
@@ -42,6 +45,8 @@ struct Announcement {
 [[nodiscard]] Payload encode(const Announcement& a);
 /// encode() into a caller-owned payload (cleared first), reusing capacity.
 void encode_into(const Announcement& a, Payload& out);
+/// Total: rejects (nullopt) truncated or trailing input, never throws, and
+/// reserves nothing its input is too short to fill.
 [[nodiscard]] std::optional<Announcement> decode_announcement(
     std::span<const std::uint8_t> bytes);
 

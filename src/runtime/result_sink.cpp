@@ -286,13 +286,16 @@ void ResultSink::print_summary(std::ostream& os) const {
   // Valid only post-finish (documented contract): the caller is the sole
   // owner of the drainer state, so claim the role for the walk.
   util::RoleLock role(&drainer_role_);
-  util::Table t({"group", "metric", "cases", "min", "mean", "stddev", "max"});
+  util::Table t({"group", "metric", "cases", "min", "p95", "p50", "mean",
+                 "stddev", "max"});
   for (const GroupSummary& g : groups_) {
     for (const auto& [name, summary] : g.metrics) {
       std::string cases_str;
       append_u64(cases_str, g.cases);
       t.add_row({g.group.empty() ? "(all)" : g.group, name,
                  std::move(cases_str), util::fmt(summary.min(), 4),
+                 util::fmt(summary.exceeded_by(0.95), 4),
+                 util::fmt(summary.exceeded_by(0.50), 4),
                  util::fmt(summary.mean(), 4),
                  summary.count() > 1 ? util::fmt(summary.stddev(), 4) : "-",
                  util::fmt(summary.max(), 4)});

@@ -105,8 +105,10 @@ class ResultSink {
   }
 
   /// Render the summaries as a fixed-width table (one row per group x
-  /// metric: count, min, mean, stddev, max). Valid once finish() has
-  /// returned.
+  /// metric: count, min, p95, p50, mean, stddev, max). p95 and p50 are
+  /// the values at least 95% and 50% of the cases met or exceeded
+  /// (util::Summary::exceeded_by): Figure 2's "minimum achieved during
+  /// 95% / 50% of the experiments". Valid once finish() has returned.
   void print_summary(std::ostream& os) const;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <exception>
 #include <map>
 #include <memory>
 #include <set>
@@ -248,6 +249,27 @@ std::string override_text(double value) {
                          static_cast<std::uint64_t>(value)).ptr);
 }
 
+/// A finite coordinate can still be too far away to place: its signal
+/// underflows to 0 mW (past about 1e159 m), and every case of the run
+/// would throw from TestbedChannel::place. Place each given point once,
+/// as the cases do, against a node at every cell centre a case may stand
+/// one at and against the other given points.
+void check_coordinates(const ScenarioSpec& spec) {
+  channel::TestbedChannel ch(spec.channel.testbed);
+  std::uint16_t id = 0;
+  try {
+    for (std::size_t cell = 0; cell < channel::CellGrid::kCells; ++cell)
+      ch.place_in_cell(packet::NodeId{id++}, channel::CellIndex{cell});
+    for (const channel::Vec2 pos : spec.topology.positions)
+      ch.place(packet::NodeId{id++}, pos);
+    if (spec.topology.eve_position.has_value())
+      ch.place(packet::NodeId{id}, *spec.topology.eve_position);
+  } catch (const std::exception& e) {
+    fail(spec, "topology.positions and eve_position must be placeable (" +
+                   std::string(e.what()) + ")");
+  }
+}
+
 [[noreturn]] void fail_too_many_cases(const ScenarioSpec& spec) {
   fail(spec, "plan has more than " + std::to_string(kMaxSweepValues) +
                  " cases");
@@ -320,8 +342,11 @@ Compiled validate(const ScenarioSpec& spec) {
 
   const bool explicit_topology =
       !spec.topology.cells.empty() || !spec.topology.positions.empty();
-  if (explicit_topology && !c.testbed)
-    fail(spec, "topology.cells/positions require channel.model = testbed");
+  if ((explicit_topology || spec.topology.eve_position.has_value()) &&
+      !c.testbed)
+    fail(spec,
+         "topology.cells/positions/eve_position require channel.model = "
+         "testbed");
 
   if (c.testbed && explicit_topology) {
     std::vector<std::size_t> cells = spec.topology.cells;
@@ -359,6 +384,9 @@ Compiled validate(const ScenarioSpec& spec) {
     }
     c.placement_sweep = c.testbed;
   }
+  if (!spec.topology.positions.empty() ||
+      spec.topology.eve_position.has_value())
+    check_coordinates(spec);
   // A testbed plan is built as explicit points, one allocation per case.
   if (c.testbed && case_count(c) > kMaxSweepValues) fail_too_many_cases(spec);
   return c;

@@ -6,8 +6,9 @@
 // the thread count, and the order in which cases finish. The CI workflow
 // checks that property by cmp-ing runs against each other; this suite
 // pins it harder, as SHA-256 digests of the complete fig1/fig2/headline
-// runs and of two example spec files that reach testbed paths those
-// three miss (explicit off-centre coordinates, jammers off). Any change
+// runs and of the example spec files, two of which reach testbed paths
+// those three miss (explicit off-centre coordinates, jammers off), and
+// three of which are the pool, rotation and estimator ablations. Any change
 // to the simulation's bytes — an estimator tweak, a kernel bug, an
 // accidental reorder — fails here first, naming the scenario and both
 // digests.
@@ -58,15 +59,24 @@ constexpr Golden kGolden[] = {
      "3c72d8ac7041b21abfef50ecff27a0dc366caf08664d3ce73ae84125d8ac163e"},
 };
 
-// Digests of full runs of files in examples/specs at master seed 42,
+// Digests of full runs of files in examples/specs at master seed 42
+// (kGoldenSeed overrides a file's [run] seed). The first two were
 // recorded with the library as it stood before the testbed channel's
 // link table: the table must reproduce every erasure probability bit for
-// bit, including at off-centre coordinates and with the jammers off.
+// bit, including at off-centre coordinates and with the jammers off. The
+// three ablation files were recorded with the library as it stood while
+// the ablation programs they replace still existed.
 constexpr Golden kSpecGolden[] = {
     {"explicit_positions.toml",
      "596640143876feee1976fa360c6c52da07a85b8dc7b51f2c25c3d435b657854b"},
     {"interference_off.toml",
      "c426cd53c664277b447804693efd651e6de73a80863afccac57a69e9fef798cd"},
+    {"ablation_estimator.toml",
+     "666a1e3ae9e0375769f5ae53a98d22b4be68a63cc6a05f65c809d8e2f6a9f962"},
+    {"ablation_pool.toml",
+     "f186ef8c81deb0a8734edac1655826a4bb69a605c67840660bf905b672967bb3"},
+    {"ablation_rotation.toml",
+     "5ce21f50d1091d0dd3cbc39eb515850770ceedc7c9d53db62a3854511f912123"},
 };
 
 // Restores the dispatched kernel after a test that overrides it.

@@ -245,6 +245,70 @@ TEST(NetdNode, RelayBeforeReadyIsBufferedNotFatal) {
   EXPECT_EQ(node.state(), NodeSession::State::kJoining);
 }
 
+// Takes `node` of a two-member session (ids 0 and 1) through attach and
+// roster, as the hub would, into round 0, whose Alice is node 0.
+void join_two_member_session(NodeSession& node) {
+  node.start(0.0);
+  Frame ok;
+  ok.header.type = static_cast<std::uint8_t>(FrameType::kAttachOk);
+  ok.header.session = 0xA11CE;
+  node.on_datagram(encode(ok), 0.0);
+  Frame ready;
+  ready.header.type = static_cast<std::uint8_t>(FrameType::kReady);
+  ready.header.session = 0xA11CE;
+  ready.payload = {2, 0, 0, 0, 0, 1, 0, 0};  // u16 count, (u16 id, u8 flags)
+  node.on_datagram(encode(ready), 0.0);
+}
+
+// The `seq`-th relay of a round-0 control frame sent by node `from`.
+std::vector<std::uint8_t> ctrl_relay(std::uint16_t from, WirePhase phase,
+                                     std::uint32_t seq,
+                                     std::vector<std::uint8_t> payload) {
+  Frame relay;
+  relay.header.type = static_cast<std::uint8_t>(FrameType::kRelay);
+  relay.header.session = 0xA11CE;
+  relay.header.node = from;
+  relay.header.phase = static_cast<std::uint8_t>(phase);
+  relay.header.aux = seq;
+  relay.payload = std::move(payload);
+  return encode(relay);
+}
+
+TEST(NetdNode, HostileControlPayloadsFailTheSessionNotTheProcess) {
+  // Reports Alice decodes before she checks their universe: 2^32 - 1
+  // once wrapped the bitmap size to 0 and read past it; 2^32 - 16 once
+  // reserved 512 MiB for a 5-byte payload.
+  for (const std::vector<std::uint8_t>& report :
+       {std::vector<std::uint8_t>{0xFF, 0xFF, 0xFF, 0xFF},
+        std::vector<std::uint8_t>{0xF0, 0xFF, 0xFF, 0xFF, 0x00}}) {
+    NodeSession alice(make_node(0, 2));
+    join_two_member_session(alice);
+    ASSERT_EQ(alice.state(), NodeSession::State::kRunning);
+    EXPECT_NO_THROW(
+        alice.on_datagram(ctrl_relay(1, WirePhase::kReport, 0, report), 0.1));
+    EXPECT_TRUE(alice.failed());
+    EXPECT_FALSE(alice.error().empty());
+  }
+
+  // A y-announcement of 256 combinations has no phase-2 plan over
+  // GF(2^8); the s-announcement that follows once threw out of
+  // on_datagram.
+  NodeSession bob(make_node(1, 2));
+  join_two_member_session(bob);
+  ASSERT_EQ(bob.state(), NodeSession::State::kRunning);
+  std::vector<std::uint8_t> y_ann = {0x00, 0x01};  // 256 empty combinations
+  y_ann.resize(2 + 256 * 2, 0);
+  const std::vector<std::uint8_t> s_ann = {0x01, 0x00, 0x00, 0x00};
+  EXPECT_NO_THROW({
+    bob.on_datagram(ctrl_relay(0, WirePhase::kEndOfX, 0, {16, 0, 0, 0}), 0.1);
+    bob.on_datagram(ctrl_relay(0, WirePhase::kYAnnouncement, 1, y_ann), 0.1);
+    bob.on_datagram(ctrl_relay(0, WirePhase::kSAnnouncement, 2, s_ann), 0.1);
+  });
+  EXPECT_TRUE(bob.failed());
+  EXPECT_NE(bob.error().find("pool too large"), std::string::npos)
+      << bob.error();
+}
+
 TEST(NetdLoop, SurvivesLostReady) {
   // kReady is sent exactly once per member; if it vanishes, the joining
   // node's periodic attach replay must pull a fresh copy out of the hub.

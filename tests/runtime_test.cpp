@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <random>
 #include <set>
 #include <sstream>
@@ -12,9 +13,9 @@
 
 #include "channel/rng.h"
 #include "runtime/engine.h"
+#include "runtime/scenario_spec.h"
 #include "runtime/scenarios.h"
 #include "runtime/seed.h"
-#include "testbed/sweep.h"
 
 namespace thinair::runtime {
 namespace {
@@ -100,6 +101,36 @@ TEST(ResultSink, ReordersOutOfOrderPushes) {
   ASSERT_EQ(sink.summaries().size(), 1u);
   EXPECT_EQ(sink.summaries()[0].cases, 3u);
   EXPECT_DOUBLE_EQ(sink.summaries()[0].metrics.at("m").mean(), 1.0);
+}
+
+TEST(ResultSink, SummaryTablePrintsFigure2Quantiles) {
+  // 20 cases at 0, 0.05, ..., 0.95: 19 of them reach 0.05 and 10 reach
+  // 0.5, so those are the p95 and p50 columns.
+  ResultSink sink("s", nullptr);
+  for (std::size_t i = 0; i < 20; ++i)
+    sink.push(CaseSpec{i, derive_seed(1, i), {}},
+              CaseResult{"g", {{"m", static_cast<double>(i) / 20.0}}});
+  sink.finish();
+  std::ostringstream table;
+  sink.print_summary(table);
+  std::istringstream lines(table.str());
+  std::vector<std::vector<std::string>> rows;
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream words(line);
+    rows.emplace_back(std::istream_iterator<std::string>(words),
+                      std::istream_iterator<std::string>());
+  }
+  ASSERT_EQ(rows.size(), 3u);  // header, rule, one group x metric row
+  EXPECT_EQ(rows[0],
+            (std::vector<std::string>{"group", "metric", "cases", "min", "p95",
+                                      "p50", "mean", "stddev", "max"}));
+  ASSERT_EQ(rows[2].size(), 9u);
+  EXPECT_EQ(rows[2][2], "20");
+  EXPECT_EQ(rows[2][3], "0.0000");
+  EXPECT_EQ(rows[2][4], "0.0500");
+  EXPECT_EQ(rows[2][5], "0.5000");
+  EXPECT_EQ(rows[2][6], "0.4750");
+  EXPECT_EQ(rows[2][8], "0.9500");
 }
 
 TEST(ResultSink, RejectsDuplicatesAndGaps) {
@@ -339,27 +370,35 @@ TEST(Registry, BuiltinPlansAreWellFormed) {
 // ------------------------------------------------- end-to-end determinism
 
 TEST(Determinism, TestbedSweepMatchesAcrossThreadCounts) {
-  testbed::SweepConfig cfg;
-  cfg.n_min = 3;
-  cfg.n_max = 4;
-  cfg.max_placements = 6;
-  cfg.session.x_packets_per_round = 45;
-  cfg.seed = 11;
+  SessionSpec session;
+  session.x_packets = 45;
+  const Scenario s = compile(ScenarioSpec{}
+                                 .with_name("testbed-sweep")
+                                 .on_testbed()
+                                 .with_n_range(3, 4)
+                                 .with_placement_cap(6)
+                                 .with_session(session));
+  const auto summaries = [&s](std::size_t threads) {
+    ResultSink sink(s.name, nullptr);
+    RunOptions options;
+    options.threads = threads;
+    options.master_seed = 11;
+    (void)run_scenario(s, options, sink);
+    return sink.summaries();
+  };
+  const std::vector<ResultSink::GroupSummary> one = summaries(1);
+  const std::vector<ResultSink::GroupSummary> eight = summaries(8);
 
-  cfg.threads = 1;
-  const testbed::SweepResult one = run_sweep(cfg);
-  cfg.threads = 8;
-  const testbed::SweepResult eight = run_sweep(cfg);
-
-  ASSERT_EQ(one.rows.size(), eight.rows.size());
-  for (std::size_t i = 0; i < one.rows.size(); ++i) {
-    EXPECT_EQ(one.rows[i].n, eight.rows[i].n);
-    EXPECT_EQ(one.rows[i].experiments, eight.rows[i].experiments);
+  ASSERT_EQ(one.size(), 2u);
+  ASSERT_EQ(one.size(), eight.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i].group, eight[i].group);
+    EXPECT_EQ(one[i].cases, eight[i].cases);
     // Sample-for-sample identical, not just equal in aggregate.
-    EXPECT_EQ(one.rows[i].reliability.samples(),
-              eight.rows[i].reliability.samples());
-    EXPECT_EQ(one.rows[i].efficiency.samples(),
-              eight.rows[i].efficiency.samples());
+    EXPECT_EQ(one[i].metrics.at("reliability").samples(),
+              eight[i].metrics.at("reliability").samples());
+    EXPECT_EQ(one[i].metrics.at("efficiency").samples(),
+              eight[i].metrics.at("efficiency").samples());
   }
 }
 

@@ -1,12 +1,46 @@
-// Testbed scenario: layout, placement enumeration, experiments and sweeps.
+// Testbed scenario: layout, placement enumeration, experiments, and
+// placement sweeps run through the scenario runtime.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "runtime/engine.h"
+#include "runtime/scenario_spec.h"
 #include "testbed/experiment.h"
 #include "testbed/placements.h"
-#include "testbed/sweep.h"
 
 namespace thinair::testbed {
 namespace {
+
+using GroupSummary = runtime::ResultSink::GroupSummary;
+
+// A geometry-estimator placement sweep over n in [n_min, n_max], capped
+// at `cap` placements per n.
+runtime::ScenarioSpec sweep_spec(std::size_t n_min, std::size_t n_max,
+                                 std::size_t cap, std::size_t x_packets) {
+  runtime::SessionSpec session;
+  session.x_packets = x_packets;
+  return runtime::ScenarioSpec{}
+      .with_name("testbed-sweep")
+      .on_testbed()
+      .with_n_range(n_min, n_max)
+      .with_placement_cap(cap)
+      .with_session(session);
+}
+
+// Runs a spec the way `thinair run --spec` does and returns its per-n
+// summaries ("n=3", "n=4", ... in ascending n).
+std::vector<GroupSummary> run_placement_sweep(
+    const runtime::ScenarioSpec& spec, std::uint64_t seed) {
+  const runtime::Scenario scenario = runtime::compile(spec);
+  runtime::ResultSink sink(scenario.name, nullptr);
+  runtime::RunOptions options;
+  options.master_seed = seed;
+  (void)run_scenario(scenario, options, sink);
+  return sink.summaries();
+}
 
 TEST(Layout, PlacementValidity) {
   Placement p;
@@ -117,55 +151,47 @@ TEST(Experiment, UnicastVariantRuns) {
 }
 
 TEST(Sweep, ProducesOneRowPerGroupSize) {
-  SweepConfig cfg;
-  cfg.n_min = 3;
-  cfg.n_max = 5;
-  cfg.max_placements = 4;
-  cfg.session.x_packets_per_round = 45;
-  const SweepResult r = run_sweep(cfg);
-  ASSERT_EQ(r.rows.size(), 3u);
+  const std::vector<GroupSummary> rows =
+      run_placement_sweep(sweep_spec(3, 5, 4, 45), 1);
+  ASSERT_EQ(rows.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(r.rows[i].n, 3 + i);
-    EXPECT_EQ(r.rows[i].experiments, 4u);
-    EXPECT_EQ(r.rows[i].reliability.count(), 4u);
-    EXPECT_GE(r.rows[i].rel_min(), 0.0);
-    EXPECT_LE(r.rows[i].rel_p50(), 1.0);
-    EXPECT_GE(r.rows[i].rel_p95(), r.rows[i].rel_min() - 1e-12);
+    const util::Summary& rel = rows[i].metrics.at("reliability");
+    EXPECT_EQ(rows[i].group, "n=" + std::to_string(3 + i));
+    EXPECT_EQ(rows[i].cases, 4u);
+    EXPECT_EQ(rel.count(), 4u);
+    EXPECT_GE(rel.min(), 0.0);
+    EXPECT_LE(rel.exceeded_by(0.50), 1.0);
+    EXPECT_GE(rel.exceeded_by(0.95), rel.min() - 1e-12);
   }
 }
 
 TEST(Sweep, ValidatesRange) {
-  SweepConfig cfg;
-  cfg.n_min = 1;
-  EXPECT_THROW((void)run_sweep(cfg), std::invalid_argument);
-  cfg.n_min = 5;
-  cfg.n_max = 4;
-  EXPECT_THROW((void)run_sweep(cfg), std::invalid_argument);
+  // Testbed placements exist for n in [2, 8] only.
+  EXPECT_THROW((void)runtime::compile(sweep_spec(1, 1, 4, 45)),
+               std::invalid_argument);
+  EXPECT_THROW((void)runtime::compile(sweep_spec(9, 9, 4, 45)),
+               std::invalid_argument);
 }
 
 TEST(Sweep, GeometryEstimatorIsSafeAcrossPlacements) {
   // The library's soundness claim, measured: the geometry bound keeps
   // median reliability at 1.0.
-  SweepConfig cfg;
-  cfg.n_min = 4;
-  cfg.n_max = 4;
-  cfg.max_placements = 10;
-  cfg.session.x_packets_per_round = 90;
-  cfg.seed = 99;
-  const SweepResult r = run_sweep(cfg);
-  EXPECT_DOUBLE_EQ(r.rows[0].rel_p50(), 1.0);
-  EXPECT_GE(r.rows[0].rel_min(), 0.8);
+  const std::vector<GroupSummary> rows =
+      run_placement_sweep(sweep_spec(4, 4, 10, 90), 99);
+  ASSERT_EQ(rows.size(), 1u);
+  const util::Summary& rel = rows[0].metrics.at("reliability");
+  EXPECT_DOUBLE_EQ(rel.exceeded_by(0.50), 1.0);
+  EXPECT_GE(rel.min(), 0.8);
 }
 
 TEST(Sweep, InterferenceOffKillsTheSecretRate) {
-  SweepConfig on, off;
-  on.n_min = on.n_max = 4;
-  on.max_placements = 4;
-  on.session.x_packets_per_round = 45;
-  off = on;
-  off.channel.interference_enabled = false;
-  const double rate_on = run_sweep(on).rows[0].secret_rate_bps.mean();
-  const double rate_off = run_sweep(off).rows[0].secret_rate_bps.mean();
+  const runtime::ScenarioSpec on = sweep_spec(4, 4, 4, 45);
+  runtime::ScenarioSpec off = on;
+  off.channel.testbed.interference_enabled = false;
+  const double rate_on =
+      run_placement_sweep(on, 1).at(0).metrics.at("secret_rate_bps").mean();
+  const double rate_off =
+      run_placement_sweep(off, 1).at(0).metrics.at("secret_rate_bps").mean();
   EXPECT_GT(rate_on, 10.0 * (rate_off + 1.0));
 }
 
