@@ -1,6 +1,7 @@
 #include "netd/daemon.h"
 
 #include <chrono>
+#include <optional>
 
 namespace thinair::netd {
 
@@ -53,22 +54,19 @@ void Daemon::run(const std::function<void()>& on_ready) {
     if (!ready.empty()) {
       // Drain until EAGAIN (level-triggered wake, non-blocking socket).
       while (socket_.recv_from(buf, from)) {
-        // Learn/refresh the sender's address before the hub replies to it.
-        const DecodeResult peek = decode(buf);
-        if (!peek.frame.has_value()) {
-          hub_.on_datagram(buf, now, out);  // counts the decode error
-          continue;
-        }
-        const PeerKey key{peek.frame->header.session,
-                          peek.frame->header.node};
-        peers_[key] = from;
-        hub_.on_datagram(buf, now, out);
+        const std::optional<PeerKey> sender = hub_.on_datagram(buf, now, out);
+        if (!sender.has_value()) continue;  // a decode error: no replies
+        // Learn/refresh the sender's address before its replies go out.
+        peers_[*sender] = from;
         flush(out);
-        // Keep the entry only while the hub tracks the session: frames for
+        // Keep entries only while the hub tracks the session: frames for
         // rejected or unknown sessions (spoofed floods included) must not
-        // grow the peer book between prunes. The reply, if any, already
-        // went out above.
-        if (!hub_.has_session(key.session)) peers_.erase(key);
+        // grow the peer book, and a closed session's members are gone at
+        // once. The reply, if any, already went out above.
+        if (!hub_.has_session(sender->session))
+          peers_.erase(peers_.lower_bound(PeerKey{sender->session, 0}),
+                       peers_.upper_bound(PeerKey{sender->session, 0xFFFF}));
+        peer_entries_.store(peers_.size(), std::memory_order_relaxed);
       }
     }
     if (now - last_tick >= 0.1) {
@@ -81,6 +79,7 @@ void Daemon::run(const std::function<void()>& on_ready) {
       for (auto it = peers_.begin(); it != peers_.end();)
         it = hub_.has_session(it->first.session) ? std::next(it)
                                                   : peers_.erase(it);
+      peer_entries_.store(peers_.size(), std::memory_order_relaxed);
       last_prune = now;
     }
   }

@@ -5,7 +5,8 @@
 // poll fallback), one SessionHub. Datagrams in, hub-addressed datagrams
 // out; the daemon's only transport state is the peer book mapping
 // (session, node) -> last-seen source address, learned from each client
-// frame. Every 0.1 s the loop hands the hub a monotonic clock sample
+// datagram and dropped, for every member, when the hub closes the
+// session. Every 0.1 s the loop hands the hub a monotonic clock sample
 // (SessionHub::on_tick), which expires idle sessions.
 //
 // The loop is embeddable (tests and the bench run it on a background
@@ -47,6 +48,10 @@ class Daemon {
   [[nodiscard]] std::uint16_t port() const { return socket_.local_port(); }
   [[nodiscard]] const SessionHub& hub() const { return hub_; }
   [[nodiscard]] bool using_epoll() const { return poller_.using_epoll(); }
+  /// Peer-book entries after the loop's latest datagram or prune.
+  [[nodiscard]] std::size_t peer_entries() const {
+    return peer_entries_.load(std::memory_order_relaxed);
+  }
 
  private:
   void flush(std::vector<Outgoing>& out) THINAIR_REQUIRES(loop_role_);
@@ -62,6 +67,7 @@ class Daemon {
   // const accessors above, none of which reach loop state.
   util::Role loop_role_;
   std::map<PeerKey, sockaddr_in> peers_ THINAIR_GUARDED_BY(loop_role_);
+  std::atomic<std::size_t> peer_entries_{0};  // peers_.size(), for monitors
   std::atomic<bool> stop_{false};
 };
 

@@ -24,6 +24,42 @@ std::vector<std::uint8_t> message_payload(std::string_view text) {
 
 }  // namespace
 
+/// The replies to one incoming datagram, appended to the caller's `out`.
+/// A frame joins the newest datagram already bound for its destination
+/// while that stays within kMaxDatagram, so each destination's frames keep
+/// their order and ride in as few datagrams as the cap allows. Datagrams
+/// from earlier calls are never touched.
+class SessionHub::Replies {
+ public:
+  explicit Replies(std::vector<Outgoing>& out)
+      : out_(out), first_(out.size()) {}
+
+  void add(std::uint64_t session, std::uint16_t node, const Frame& frame) {
+    encode_into(frame, slot(session, node, kHeaderSize + frame.payload.size()));
+  }
+  void add(std::uint64_t session, std::uint16_t node,
+           std::span<const std::uint8_t> frame) {
+    std::vector<std::uint8_t>& datagram = slot(session, node, frame.size());
+    datagram.insert(datagram.end(), frame.begin(), frame.end());
+  }
+
+ private:
+  /// The datagram to append `bytes` more bytes to for (session, node).
+  std::vector<std::uint8_t>& slot(std::uint64_t session, std::uint16_t node,
+                                  std::size_t bytes) {
+    for (std::size_t i = out_.size(); i > first_; --i) {
+      Outgoing& o = out_[i - 1];
+      if (o.session != session || o.node != node) continue;
+      if (o.datagram.size() + bytes <= kMaxDatagram) return o.datagram;
+      break;
+    }
+    return out_.emplace_back(Outgoing{session, node, {}}).datagram;
+  }
+
+  std::vector<Outgoing>& out_;
+  const std::size_t first_;
+};
+
 SessionHub::SessionHub(HubConfig config) : config_(config) {
   if (!(config_.loss_p >= 0.0 && config_.loss_p <= 1.0))
     throw std::invalid_argument("SessionHub: loss_p must lie in [0, 1]");
@@ -41,18 +77,33 @@ Frame SessionHub::make_control(FrameType type, std::uint64_t session,
   return f;
 }
 
-void SessionHub::on_datagram(std::span<const std::uint8_t> bytes, double now_s,
-                             std::vector<Outgoing>& out) {
+std::optional<PeerKey> SessionHub::on_datagram(
+    std::span<const std::uint8_t> bytes, double now_s,
+    std::vector<Outgoing>& out) {
   stats_.datagrams_in.fetch_add(1, std::memory_order_relaxed);
-  DecodeResult decoded = decode(bytes);
-  if (!decoded.frame.has_value()) {
+  DecodeAllResult decoded = decode_all(bytes);
+  std::vector<Frame>& frames = decoded.frames;
+  const auto other_sender = [&frames](const Frame& f) {
+    return f.header.session != frames.front().header.session ||
+           f.header.node != frames.front().header.node;
+  };
+  if (frames.empty() ||
+      std::any_of(frames.begin(), frames.end(), other_sender)) {
     stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return std::nullopt;
   }
-  const Frame& f = *decoded.frame;
-  const std::uint64_t id = f.header.session;
 
+  Replies replies(out);
+  const std::uint32_t opening_aux = frames.front().header.aux;
   util::MutexLock lock(&mu_);
+  for (std::size_t i = 0; i < frames.size(); ++i)
+    on_frame(frames[i], opening_aux, i == 0, now_s, replies);
+  return PeerKey{frames.front().header.session, frames.front().header.node};
+}
+
+void SessionHub::on_frame(Frame& f, std::uint32_t opening_aux, bool opens,
+                          double now_s, Replies& out) {
+  const std::uint64_t id = f.header.session;
   switch (static_cast<FrameType>(f.header.type)) {
     case FrameType::kAttach:
       handle_attach(f, now_s, out);
@@ -61,13 +112,12 @@ void SessionHub::on_datagram(std::span<const std::uint8_t> bytes, double now_s,
     case FrameType::kCtrl: {
       auto it = sessions_.find(id);
       if (it == sessions_.end()) {
-        out.push_back({id, f.header.node,
-                       encode(make_control(FrameType::kExpired, id,
-                                           f.header.node))});
+        out.add(id, f.header.node,
+                make_control(FrameType::kExpired, id, f.header.node));
         return;
       }
       it->second.last_active_s = now_s;
-      handle_broadcast(it->second, f, out);
+      handle_broadcast(it->second, f, opening_aux, opens, out);
       return;
     }
     case FrameType::kNack: {
@@ -82,9 +132,8 @@ void SessionHub::on_datagram(std::span<const std::uint8_t> bytes, double now_s,
       if (it == sessions_.end()) {
         // Already gone (e.g. the final kBye echo was lost): re-echo so the
         // retransmitting client can finish.
-        out.push_back({id, f.header.node,
-                       encode(make_control(FrameType::kBye, id,
-                                           f.header.node))});
+        out.add(id, f.header.node,
+                make_control(FrameType::kBye, id, f.header.node));
         return;
       }
       it->second.last_active_s = now_s;
@@ -97,8 +146,7 @@ void SessionHub::on_datagram(std::span<const std::uint8_t> bytes, double now_s,
   }
 }
 
-void SessionHub::handle_attach(const Frame& f, double now_s,
-                               std::vector<Outgoing>& out) {
+void SessionHub::handle_attach(const Frame& f, double now_s, Replies& out) {
   const std::uint64_t id = f.header.session;
   const std::uint16_t node = f.header.node;
   // The declared roster size, checked at its full 32-bit width: the low
@@ -108,7 +156,7 @@ void SessionHub::handle_attach(const Frame& f, double now_s,
   auto reply_error = [&](std::string_view why) {
     Frame e = make_control(FrameType::kError, id, node);
     e.payload = message_payload(why);
-    out.push_back({id, node, encode(e)});
+    out.add(id, node, e);
   };
 
   auto it = sessions_.find(id);
@@ -141,15 +189,14 @@ void SessionHub::handle_attach(const Frame& f, double now_s,
       r.payload.push_back(static_cast<std::uint8_t>(mid >> 8));
       r.payload.push_back(m.eve ? kFlagEve : 0);
     }
-    out.push_back({id, to, encode(r)});
+    out.add(id, to, r);
   };
 
   if (auto mit = s.members.find(node); mit != s.members.end()) {
     // Retransmitted attach: idempotent replay.
-    out.push_back({id, node,
-                   encode(make_control(
-                       FrameType::kAttachOk, id, node,
-                       static_cast<std::uint32_t>(s.members.size())))});
+    out.add(id, node,
+            make_control(FrameType::kAttachOk, id, node,
+                         static_cast<std::uint32_t>(s.members.size())));
     if (s.ready) send_ready(node);
     return;
   }
@@ -165,10 +212,9 @@ void SessionHub::handle_attach(const Frame& f, double now_s,
   Member m;
   m.eve = (f.header.flags & kFlagEve) != 0;
   s.members.emplace(node, std::move(m));
-  out.push_back({id, node,
-                 encode(make_control(
-                     FrameType::kAttachOk, id, node,
-                     static_cast<std::uint32_t>(s.members.size())))});
+  out.add(id, node,
+          make_control(FrameType::kAttachOk, id, node,
+                       static_cast<std::uint32_t>(s.members.size())));
   if (s.members.size() == s.expected) {
     s.ready = true;
     for (const auto& [mid, member] : s.members) send_ready(mid);
@@ -176,20 +222,17 @@ void SessionHub::handle_attach(const Frame& f, double now_s,
 }
 
 void SessionHub::relay_to(std::uint64_t session_id, std::uint16_t node,
-                          Member& member, Frame wire,
-                          std::vector<Outgoing>& out) {
-  wire.header.type = static_cast<std::uint8_t>(FrameType::kRelay);
-  wire.header.flags = 0;
-  wire.header.aux = member.next_relay_seq++;
-  std::vector<std::uint8_t> datagram = encode(wire);
-  member.ring.emplace_back(wire.header.aux, datagram);
+                          Member& member, Frame& relay, Replies& out) {
+  relay.header.aux = member.next_relay_seq++;
+  member.ring.emplace_back(relay.header.aux, encode(relay));
+  out.add(session_id, node, member.ring.back().second);
   while (member.ring.size() > kRelayWindow) member.ring.pop_front();
-  out.push_back({session_id, node, std::move(datagram)});
   stats_.frames_relayed.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SessionHub::handle_broadcast(Session& s, const Frame& f,
-                                  std::vector<Outgoing>& out) {
+void SessionHub::handle_broadcast(Session& s, Frame& f,
+                                  std::uint32_t opening_aux, bool opens,
+                                  Replies& out) {
   const std::uint64_t id = f.header.session;
   const std::uint16_t source = f.header.node;
   auto sit = s.members.find(source);
@@ -198,22 +241,41 @@ void SessionHub::handle_broadcast(Session& s, const Frame& f,
     e.payload = message_payload(sit == s.members.end()
                                     ? "broadcast: unknown member"
                                     : "broadcast: session not ready");
-    out.push_back({id, source, encode(e)});
+    out.add(id, source, e);
     return;
   }
   Member& sender = sit->second;
 
-  // Client-side ARQ absorption: a retransmit of the frame we acked last
-  // replays the cached ack verbatim — no new draws, no duplicate relays.
-  const AckKey key{f.header.type, f.header.phase, f.header.round,
-                   f.header.seq};
-  if (sender.last_key == key) {
-    out.push_back({id, source, sender.last_ack});
+  // Stream order: only the sender's next stream seq draws and relays. A
+  // stale or repeated copy draws nothing; when it opens the datagram
+  // accepted last, whose acks were lost, those acks go out again. A frame
+  // past the next seq is dropped for the client's retransmit to refill.
+  const std::uint32_t stream_seq = f.header.aux;
+  if (stream_seq != sender.next_stream_seq) {
+    if (opens && stream_seq < sender.next_stream_seq &&
+        stream_seq == sender.acked_first)
+      for (std::size_t at = 0; at < sender.acks.size(); at += kHeaderSize)
+        out.add(id, source,
+                std::span<const std::uint8_t>(sender.acks)
+                    .subspan(at, kHeaderSize));
     return;
+  }
+  ++sender.next_stream_seq;
+  if (sender.acked_first != opening_aux) {
+    sender.acked_first = opening_aux;
+    sender.acks.clear();
   }
 
   const bool lossy = f.header.type == static_cast<std::uint8_t>(
                                           FrameType::kData);
+  Frame ack = make_control(
+      lossy ? FrameType::kTxReport : FrameType::kCtrlAck, id, source);
+  ack.header.phase = f.header.phase;
+  ack.header.round = f.header.round;
+  ack.header.seq = f.header.seq;
+
+  f.header.type = static_cast<std::uint8_t>(FrameType::kRelay);
+  f.header.flags = 0;
   std::uint32_t mask = 0;
   std::uint32_t bit = 0;
   for (auto& [mid, member] : s.members) {
@@ -228,19 +290,13 @@ void SessionHub::handle_broadcast(Session& s, const Frame& f,
     ++bit;
   }
 
-  Frame ack = make_control(
-      lossy ? FrameType::kTxReport : FrameType::kCtrlAck, id, source,
-      lossy ? mask : 0);
-  ack.header.phase = f.header.phase;
-  ack.header.round = f.header.round;
-  ack.header.seq = f.header.seq;
-  sender.last_key = key;
-  sender.last_ack = encode(ack);
-  out.push_back({id, source, sender.last_ack});
+  if (lossy) ack.header.aux = mask;
+  const std::size_t at = sender.acks.size();
+  encode_into(ack, sender.acks);
+  out.add(id, source, std::span<const std::uint8_t>(sender.acks).subspan(at));
 }
 
-void SessionHub::handle_nack(Session& s, const Frame& f,
-                             std::vector<Outgoing>& out) {
+void SessionHub::handle_nack(Session& s, const Frame& f, Replies& out) {
   auto it = s.members.find(f.header.node);
   if (it == s.members.end()) return;
   Member& member = it->second;
@@ -255,24 +311,22 @@ void SessionHub::handle_nack(Session& s, const Frame& f,
     Frame e = make_control(FrameType::kError, f.header.session, f.header.node);
     e.payload =
         message_payload("nack: relay history evicted (unrecoverable gap)");
-    out.push_back({f.header.session, f.header.node, encode(e)});
+    out.add(f.header.session, f.header.node, e);
     return;
   }
   for (const auto& [seq, datagram] : member.ring) {
     if (seq < first_missing) continue;
-    out.push_back({f.header.session, f.header.node, datagram});
+    out.add(f.header.session, f.header.node, datagram);
     stats_.nack_retransmits.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void SessionHub::handle_bye(std::uint64_t id, Session& s, const Frame& f,
-                            std::vector<Outgoing>& out) {
+                            Replies& out) {
   auto it = s.members.find(f.header.node);
   if (it == s.members.end()) return;
   it->second.bye = true;
-  out.push_back(
-      {id, f.header.node, encode(make_control(FrameType::kBye, id,
-                                              f.header.node))});
+  out.add(id, f.header.node, make_control(FrameType::kBye, id, f.header.node));
   const bool all_done = std::all_of(
       s.members.begin(), s.members.end(),
       [](const auto& kv) { return kv.second.bye; });

@@ -16,17 +16,26 @@
 //   kCtrl  — the reliable broadcast. Relayed to every peer, no draws,
 //            acknowledged with kCtrlAck.
 //
+// A client datagram carries one or more frames; each kData/kCtrl frame
+// holds the sender's stream seq in aux. The hub accepts a member's frame
+// only at that member's next stream seq, so every frame draws at most
+// once and in stream order. A lower seq is a stale or repeated copy and
+// draws nothing; if it opens the datagram the hub accepted last, that
+// datagram's acknowledgements are replayed (they were lost). A higher seq
+// is dropped, and the client's retransmit refills the gap. Client-side
+// ARQ therefore cannot perturb the draw sequence.
+//
 // Every relay carries a per-receiver sequence number (aux) so receivers
 // detect UDP loss as a gap and recover via kNack from the hub's per-member
-// relay ring. Retransmitted client frames are absorbed by a per-member
-// last-ack cache: the cached acknowledgement is replayed and *no* new
-// erasure draws happen, so client-side ARQ cannot perturb the draw
-// sequence.
+// relay ring, which holds relays frame by frame.
 //
 // The hub is sans-io: it consumes raw datagrams and emits datagrams
-// addressed by (session, node); the UDP daemon (daemon.h) and the
-// in-process reference harness (tests) drive the same code, which is what
-// makes daemon runs comparable to in-process runs under the same seeds.
+// addressed by (session, node). The replies to one incoming datagram are
+// coalesced: the frames bound for one destination ride back to back, in
+// order, in as few datagrams as kMaxDatagram allows. The UDP daemon
+// (daemon.h) and the in-process reference harness (tests) drive the same
+// code, which is what makes daemon runs comparable to in-process runs
+// under the same seeds.
 // Idle sessions expire when on_tick() scans the session table.
 
 #include <atomic>
@@ -63,6 +72,13 @@ struct HubStats {
   alignas(64) std::atomic<std::uint64_t> nack_retransmits{0};
 };
 
+/// The (session, node) pair a datagram comes from or goes to.
+struct PeerKey {
+  std::uint64_t session = 0;
+  std::uint16_t node = 0;
+  friend auto operator<=>(const PeerKey&, const PeerKey&) = default;
+};
+
 /// A datagram the hub wants delivered to (session, node); the transport
 /// owns the mapping to an actual peer address.
 struct Outgoing {
@@ -79,9 +95,11 @@ class SessionHub {
 
   /// Feed one received datagram; `now_s` is the transport's monotonic
   /// clock (drives idle expiry only — the erasure draws depend on the
-  /// frame order alone). Responses are appended to `out`.
-  void on_datagram(std::span<const std::uint8_t> bytes, double now_s,
-                   std::vector<Outgoing>& out);
+  /// frame order alone). Responses are appended to `out`. Returns the
+  /// datagram's sender, or nothing when it did not decode or its frames
+  /// name more than one (session, node) pair (one decode error each).
+  std::optional<PeerKey> on_datagram(std::span<const std::uint8_t> bytes,
+                                     double now_s, std::vector<Outgoing>& out);
 
   /// Expire, in session-id order, every session idle since
   /// `now_s - idle_timeout_s`, emitting kExpired to its members.
@@ -98,20 +116,18 @@ class SessionHub {
   }
 
  private:
-  struct AckKey {
-    std::uint8_t type = 0;
-    std::uint8_t phase = 0;
-    std::uint32_t round = 0;
-    std::uint32_t seq = 0;
-    friend bool operator==(const AckKey&, const AckKey&) = default;
-  };
+  class Replies;  // coalesces the replies to one datagram (hub.cpp)
 
   struct Member {
     bool eve = false;
     bool bye = false;
-    std::uint32_t next_relay_seq = 0;  // next seq this member will be sent
-    std::optional<AckKey> last_key;    // retransmit-absorbing ack cache
-    std::vector<std::uint8_t> last_ack;
+    std::uint32_t next_relay_seq = 0;   // next seq this member will be sent
+    std::uint32_t next_stream_seq = 0;  // the one client seq accepted next
+    // The last datagram this member's frames were accepted from: the
+    // stream seq of its first frame, and the acks sent for it (32-byte
+    // frames back to back), replayed when a copy of it arrives again.
+    std::uint32_t acked_first = 0;
+    std::vector<std::uint8_t> acks;
     std::deque<std::pair<std::uint32_t, std::vector<std::uint8_t>>> ring;
   };
 
@@ -126,18 +142,22 @@ class SessionHub {
     explicit Session(channel::Rng r) : rng(r) {}
   };
 
-  void handle_attach(const Frame& f, double now_s, std::vector<Outgoing>& out)
+  /// Handle frame `f` of a datagram whose first frame carries aux
+  /// `opening_aux`; `opens` says whether `f` is that first frame.
+  void on_frame(Frame& f, std::uint32_t opening_aux, bool opens, double now_s,
+                Replies& out) THINAIR_REQUIRES(mu_);
+  void handle_attach(const Frame& f, double now_s, Replies& out)
       THINAIR_REQUIRES(mu_);
-  void handle_broadcast(Session& s, const Frame& f, std::vector<Outgoing>& out)
+  void handle_broadcast(Session& s, Frame& f, std::uint32_t opening_aux,
+                        bool opens, Replies& out) THINAIR_REQUIRES(mu_);
+  void handle_nack(Session& s, const Frame& f, Replies& out)
       THINAIR_REQUIRES(mu_);
-  void handle_nack(Session& s, const Frame& f, std::vector<Outgoing>& out)
+  void handle_bye(std::uint64_t id, Session& s, const Frame& f, Replies& out)
       THINAIR_REQUIRES(mu_);
-  void handle_bye(std::uint64_t id, Session& s, const Frame& f,
-                  std::vector<Outgoing>& out) THINAIR_REQUIRES(mu_);
 
-  /// Relay `wire` to member `node`, stamping the per-member relay seq.
+  /// Relay `relay` to member `node`, stamping the per-member relay seq.
   void relay_to(std::uint64_t session_id, std::uint16_t node, Member& member,
-                Frame wire, std::vector<Outgoing>& out) THINAIR_REQUIRES(mu_);
+                Frame& relay, Replies& out) THINAIR_REQUIRES(mu_);
 
   [[nodiscard]] static Frame make_control(FrameType type, std::uint64_t session,
                                           std::uint16_t node,

@@ -37,6 +37,7 @@ void NodeSession::reset(NodeConfig config) {
   queue_.clear();
   inflight_.reset();
   inflight_wire_.clear();
+  next_stream_seq_ = 0;
   last_send_s_ = 0.0;
   retries_ = 0;
   outbox_.clear();
@@ -95,14 +96,27 @@ void NodeSession::start(double now_s) {
 
 void NodeSession::pump(double now_s) {
   if (state_ == State::kFailed || state_ == State::kDone) return;
-  if (!inflight_.has_value() && !queue_.empty()) {
-    inflight_ = std::move(queue_.front());
+  if (inflight_.has_value() || queue_.empty()) return;
+  // kAttach and kBye travel alone; kData/kCtrl frames pack back to back,
+  // each taking the next stream seq, while the datagram stays in the cap.
+  inflight_wire_.clear();
+  while (!queue_.empty()) {
+    Frame& f = queue_.front();
+    const auto type = static_cast<FrameType>(f.header.type);
+    const bool alone = type == FrameType::kAttach || type == FrameType::kBye;
+    if (inflight_.has_value() &&
+        (alone || inflight_wire_.size() + kHeaderSize + f.payload.size() >
+                      kMaxDatagram))
+      break;
+    if (!alone) f.header.aux = next_stream_seq_++;
+    encode_into(f, inflight_wire_);
+    inflight_ = f.header;
     queue_.pop_front();
-    inflight_wire_ = encode(*inflight_);
-    outbox_.push_back(inflight_wire_);
-    last_send_s_ = now_s;
-    retries_ = 0;
+    if (alone) break;
   }
+  outbox_.push_back(inflight_wire_);
+  last_send_s_ = now_s;
+  retries_ = 0;
 }
 
 bool NodeSession::poll_datagram(std::vector<std::uint8_t>& out) {
@@ -155,12 +169,13 @@ void NodeSession::on_tick(double now_s) {
 void NodeSession::on_datagram(std::span<const std::uint8_t> bytes,
                               double now_s) {
   if (state_ == State::kFailed || state_ == State::kDone) return;
-  DecodeResult decoded = decode(bytes);
-  if (!decoded.frame.has_value()) return;  // not ours / corrupt: drop
-  const Frame& f = *decoded.frame;
-  if (f.header.session != config_.session_id) return;
-  last_rx_s_ = now_s;
-  on_hub_frame(f, now_s);
+  const DecodeAllResult decoded = decode_all(bytes);  // corrupt: no frames
+  for (const Frame& f : decoded.frames) {
+    if (state_ == State::kFailed || state_ == State::kDone) return;
+    if (f.header.session != config_.session_id) continue;  // not ours
+    last_rx_s_ = now_s;
+    on_hub_frame(f, now_s);
+  }
   pump(now_s);
 }
 
@@ -169,8 +184,7 @@ void NodeSession::on_hub_frame(const Frame& f, double now_s) {
   switch (type) {
     case FrameType::kAttachOk:
       if (inflight_.has_value() &&
-          inflight_->header.type ==
-              static_cast<std::uint8_t>(FrameType::kAttach)) {
+          inflight_->type == static_cast<std::uint8_t>(FrameType::kAttach)) {
         inflight_.reset();
         attached_ = true;
         maybe_start_round(now_s);
@@ -199,23 +213,19 @@ void NodeSession::on_hub_frame(const Frame& f, double now_s) {
       return;
     }
     case FrameType::kTxReport:
+    case FrameType::kCtrlAck: {
+      // The ack of the datagram's last frame clears the whole datagram:
+      // the hub accepts frames in stream order, so the earlier ones are in.
+      const FrameType acked = type == FrameType::kTxReport ? FrameType::kData
+                                                           : FrameType::kCtrl;
       if (inflight_.has_value() &&
-          inflight_->header.type ==
-              static_cast<std::uint8_t>(FrameType::kData) &&
-          inflight_->header.phase == f.header.phase &&
-          inflight_->header.round == f.header.round &&
-          inflight_->header.seq == f.header.seq)
+          inflight_->type == static_cast<std::uint8_t>(acked) &&
+          inflight_->phase == f.header.phase &&
+          inflight_->round == f.header.round &&
+          inflight_->seq == f.header.seq)
         inflight_.reset();
       return;
-    case FrameType::kCtrlAck:
-      if (inflight_.has_value() &&
-          inflight_->header.type ==
-              static_cast<std::uint8_t>(FrameType::kCtrl) &&
-          inflight_->header.phase == f.header.phase &&
-          inflight_->header.round == f.header.round &&
-          inflight_->header.seq == f.header.seq)
-        inflight_.reset();
-      return;
+    }
     case FrameType::kBye:
       if (state_ == State::kClosing) {
         inflight_.reset();

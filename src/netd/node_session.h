@@ -28,15 +28,18 @@
 // The class is sans-io and clock-free: callers feed received datagrams
 // (on_datagram), advance time (on_tick) and drain outgoing datagrams
 // (poll_datagram). Reliability over real UDP comes from two mechanisms:
-// stop-and-wait ARQ towards the hub (every client frame is acknowledged;
-// the in-flight frame retransmits on timeout, and the hub's ack cache
-// makes retransmits draw-neutral), and an ordered relay stream from the
-// hub (per-member sequence numbers; gaps trigger kNack recovery, idle
-// periods a probe kNack so a lost final relay cannot deadlock the round).
-// The roster announcement (kReady) is covered too: relays that overtake it
-// are buffered until the roster arrives, and a joining node whose attach
-// was acked re-sends the attach on the probe timer — the hub replays
-// kAttachOk/kReady idempotently — so a lost kReady cannot wedge the join.
+// stop-and-wait ARQ towards the hub, one datagram in flight that packs
+// every queued kData/kCtrl frame it can hold (each stamped with this
+// member's stream seq in aux; kAttach and kBye travel alone), cleared by
+// the ack of its last frame and retransmitted whole on timeout — the hub
+// accepts frames in stream order only, so retransmits are draw-neutral —
+// and an ordered relay stream from the hub (per-member sequence numbers;
+// gaps trigger kNack recovery, idle periods a probe kNack so a lost final
+// relay cannot deadlock the round). The roster announcement (kReady) is
+// covered too: relays that overtake it are buffered until the roster
+// arrives, and a joining node whose attach was acked re-sends the attach
+// on the probe timer — the hub replays kAttachOk/kReady idempotently — so
+// a lost kReady cannot wedge the join.
 
 #include <cstdint>
 #include <deque>
@@ -163,8 +166,11 @@ class NodeSession {
 
   // Outgoing: stop-and-wait ARQ over `queue_`, plus an immediate outbox.
   std::deque<Frame> queue_;
-  std::optional<Frame> inflight_;
+  // The header of the in-flight datagram's last frame: its ack clears the
+  // whole datagram.
+  std::optional<FrameHeader> inflight_;
   std::vector<std::uint8_t> inflight_wire_;
+  std::uint32_t next_stream_seq_ = 0;  // aux of the next kData/kCtrl frame
   double last_send_s_ = 0.0;
   std::size_t retries_ = 0;
   std::deque<std::vector<std::uint8_t>> outbox_;

@@ -51,11 +51,4 @@ class UdpSocket {
 [[nodiscard]] sockaddr_in make_addr(const std::string& host,
                                     std::uint16_t port);
 
-/// Addressing key for the daemon's peer book.
-struct PeerKey {
-  std::uint64_t session = 0;
-  std::uint16_t node = 0;
-  friend auto operator<=>(const PeerKey&, const PeerKey&) = default;
-};
-
 }  // namespace thinair::netd

@@ -53,12 +53,10 @@ std::string_view to_string(DecodeError e) {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode(const Frame& frame) {
+void encode_into(const Frame& frame, std::vector<std::uint8_t>& out) {
   if (frame.payload.size() > kMaxPayload)
     throw std::invalid_argument("netd::encode: payload exceeds kMaxPayload");
 
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + frame.payload.size());
   const FrameHeader& h = frame.header;
   put_u16(out, h.magic);
   out.push_back(h.version);
@@ -73,21 +71,28 @@ std::vector<std::uint8_t> encode(const Frame& frame) {
   put_u16(out, static_cast<std::uint16_t>(frame.payload.size()));
   put_u16(out, h.reserved);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+}
+
+std::vector<std::uint8_t> encode(const Frame& frame) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kHeaderSize + frame.payload.size());
+  encode_into(frame, out);
   return out;
 }
 
-DecodeResult decode(std::span<const std::uint8_t> datagram) {
-  if (datagram.size() < kHeaderSize)
-    return {std::nullopt, DecodeError::kTooShort};
+namespace {
 
-  const std::uint8_t* p = datagram.data();
-  FrameHeader h;
+/// Parse the header at the front of `bytes`, which holds at least
+/// kHeaderSize bytes, checking every field that does not depend on where
+/// the frame ends.
+DecodeError read_header(std::span<const std::uint8_t> bytes, FrameHeader& h) {
+  const std::uint8_t* p = bytes.data();
   h.magic = get_u16(p);
-  if (h.magic != kMagic) return {std::nullopt, DecodeError::kBadMagic};
+  if (h.magic != kMagic) return DecodeError::kBadMagic;
   h.version = p[2];
-  if (h.version != kVersion) return {std::nullopt, DecodeError::kBadVersion};
+  if (h.version != kVersion) return DecodeError::kBadVersion;
   h.type = p[3];
-  if (h.type > kMaxFrameType) return {std::nullopt, DecodeError::kBadType};
+  if (h.type > kMaxFrameType) return DecodeError::kBadType;
   h.flags = p[4];
   h.phase = p[5];
   h.node = get_u16(p + 6);
@@ -97,16 +102,48 @@ DecodeResult decode(std::span<const std::uint8_t> datagram) {
   h.aux = get_u32(p + 24);
   h.payload_len = get_u16(p + 28);
   h.reserved = get_u16(p + 30);
+  if (h.payload_len > kMaxPayload) return DecodeError::kOversized;
+  return DecodeError::kNone;
+}
 
-  if (h.payload_len > kMaxPayload)
-    return {std::nullopt, DecodeError::kOversized};
-  if (static_cast<std::size_t>(h.payload_len) != datagram.size() - kHeaderSize)
-    return {std::nullopt, DecodeError::kLengthMismatch};
+}  // namespace
 
+DecodeResult decode(std::span<const std::uint8_t> datagram) {
+  if (datagram.size() < kHeaderSize)
+    return {std::nullopt, DecodeError::kTooShort};
   Frame frame;
-  frame.header = h;
+  if (const DecodeError e = read_header(datagram, frame.header);
+      e != DecodeError::kNone)
+    return {std::nullopt, e};
+  if (frame.header.payload_len != datagram.size() - kHeaderSize)
+    return {std::nullopt, DecodeError::kLengthMismatch};
   frame.payload.assign(datagram.begin() + kHeaderSize, datagram.end());
   return {std::move(frame), DecodeError::kNone};
+}
+
+DecodeAllResult decode_all(std::span<const std::uint8_t> datagram) {
+  DecodeAllResult result;
+  const auto reject = [&result](DecodeError e) {
+    result.frames.clear();
+    result.error = e;
+    return std::move(result);
+  };
+  if (datagram.size() > kMaxDatagram) return reject(DecodeError::kOversized);
+  // An empty datagram reads as one frame too short for its header.
+  do {
+    if (datagram.size() < kHeaderSize) return reject(DecodeError::kTooShort);
+    Frame& frame = result.frames.emplace_back();
+    if (const DecodeError e = read_header(datagram, frame.header);
+        e != DecodeError::kNone)
+      return reject(e);
+    const std::size_t len = frame.header.payload_len;
+    if (len > datagram.size() - kHeaderSize)
+      return reject(DecodeError::kLengthMismatch);
+    frame.payload.assign(datagram.begin() + kHeaderSize,
+                         datagram.begin() + kHeaderSize + len);
+    datagram = datagram.subspan(kHeaderSize + len);
+  } while (!datagram.empty());
+  return result;
 }
 
 }  // namespace thinair::netd

@@ -1,19 +1,27 @@
 #pragma once
-// The thinaird wire protocol: a fixed 32-byte little-endian frame header
-// followed by an optional payload, carried one frame per UDP datagram.
+// The thinaird wire protocol: frames of a fixed 32-byte little-endian
+// header followed by an optional payload, carried back to back, one or
+// more per UDP datagram.
 //
 // The daemon plays the paper's broadcast medium over real sockets, so the
 // frame header carries exactly what the medium seam needs to route and
 // account a transmission: which session, which node, which protocol phase,
 // which round, and a sequence number — plus an `aux` word whose meaning
 // depends on the frame type (delivery mask for kTxReport, relay stream
-// position for kRelay, first missing relay seq for kNack).
+// position for kRelay, first missing relay seq for kNack, the sender's
+// stream seq for a client's kData/kCtrl).
 //
-// Decoding is strict and total: decode() never reads out of bounds, never
-// throws, and classifies every malformed input (short header, bad magic or
-// version, unknown type, length mismatch with the datagram, oversized
-// payload) — the fuzz suite in tests/wire_test.cpp holds it to that under
-// ASan/UBSan.
+// A sender packs every frame it has ready for one destination into one
+// datagram of at most kMaxDatagram bytes, the size of one frame at the
+// largest payload. decode_all() splits a datagram into its frames;
+// decode() parses a datagram that holds exactly one.
+//
+// Decoding is strict and total: neither decoder reads out of bounds or
+// throws, and each classifies every malformed input (short header, bad
+// magic or version, unknown type, length mismatch with the datagram,
+// oversized payload or datagram). decode_all() rejects the whole datagram
+// when any frame in it is malformed. The fuzz suite in tests/wire_test.cpp
+// holds both to that under ASan/UBSan.
 
 #include <cstdint>
 #include <optional>
@@ -24,22 +32,25 @@
 namespace thinair::netd {
 
 inline constexpr std::uint16_t kMagic = 0x5441;  // "TA" little-endian
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderSize = 32;
-/// Hard cap on payload bytes per frame: one frame per UDP datagram. Sized
-/// for combination announcements (the largest control payload — M combos
-/// of up to N 5-byte terms each); well under the 64 KiB UDP limit, though
-/// frames past ~1.4 KiB will IP-fragment off loopback.
+/// Hard cap on payload bytes per frame. Sized for combination
+/// announcements (the largest control payload — M combos of up to N
+/// 5-byte terms each).
 inline constexpr std::size_t kMaxPayload = 8192;
+/// Hard cap on one datagram: one frame at the largest payload, or several
+/// smaller frames back to back. Well under the 64 KiB UDP limit, though
+/// datagrams past ~1.4 KiB will IP-fragment off loopback.
+inline constexpr std::size_t kMaxDatagram = kHeaderSize + kMaxPayload;
 
 /// Every kind of frame the daemon or a client can emit.
 enum class FrameType : std::uint8_t {
   kAttach = 0,    // client -> hub: join a session (payload: AttachRequest)
   kAttachOk = 1,  // hub -> client: attach accepted (aux = members so far)
   kReady = 2,     // hub -> client: roster complete (payload: member ids)
-  kData = 3,      // client -> hub: lossy broadcast (erasure-drawn relay)
+  kData = 3,      // client -> hub: lossy broadcast (aux = stream seq)
   kTxReport = 4,  // hub -> sender: kData accounted (aux = delivered mask)
-  kCtrl = 5,      // client -> hub: reliable broadcast (relayed to all)
+  kCtrl = 5,      // client -> hub: reliable broadcast (aux = stream seq)
   kCtrlAck = 6,   // hub -> sender: kCtrl accepted and relayed
   kRelay = 7,     // hub -> peer: relayed frame (aux = per-member relay seq)
   kNack = 8,      // client -> hub: relay gap (aux = first missing seq)
@@ -94,8 +105,8 @@ enum class DecodeError : std::uint8_t {
   kBadMagic,        // first two bytes are not kMagic
   kBadVersion,      // version byte != kVersion
   kBadType,         // type byte > kMaxFrameType
-  kLengthMismatch,  // payload_len != datagram size - header size
-  kOversized,       // payload_len > kMaxPayload
+  kLengthMismatch,  // payload_len disagrees with the bytes that follow
+  kOversized,       // payload_len > kMaxPayload, or datagram > kMaxDatagram
 };
 
 [[nodiscard]] std::string_view to_string(DecodeError e);
@@ -105,12 +116,26 @@ struct DecodeResult {
   DecodeError error = DecodeError::kNone;
 };
 
-/// Serialize a frame into one datagram. header.payload_len is taken from
+struct DecodeAllResult {
+  std::vector<Frame> frames;  // non-empty iff error == kNone
+  DecodeError error = DecodeError::kNone;
+};
+
+/// Append one serialized frame to `out`. header.payload_len is taken from
 /// payload.size() (the field value in `header` is ignored). Throws
 /// std::invalid_argument when the payload exceeds kMaxPayload.
+void encode_into(const Frame& frame, std::vector<std::uint8_t>& out);
+
+/// Serialize a frame into a one-frame datagram (see encode_into).
 [[nodiscard]] std::vector<std::uint8_t> encode(const Frame& frame);
 
-/// Parse one datagram. Total: never throws, never reads out of bounds.
+/// Parse a datagram that holds exactly one frame. Total: never throws,
+/// never reads out of bounds.
 [[nodiscard]] DecodeResult decode(std::span<const std::uint8_t> datagram);
+
+/// Split a datagram into its frames, in order. Total: never throws, never
+/// reads out of bounds; one malformed frame rejects the whole datagram.
+[[nodiscard]] DecodeAllResult decode_all(
+    std::span<const std::uint8_t> datagram);
 
 }  // namespace thinair::netd

@@ -6,6 +6,7 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -249,13 +250,25 @@ std::string override_text(double value) {
                          static_cast<std::uint64_t>(value)).ptr);
 }
 
-/// A finite coordinate can still be too far away to place: its signal
-/// underflows to 0 mW (past about 1e159 m), and every case of the run
-/// would throw from TestbedChannel::place. Place each given point once,
-/// as the cases do, against a node at every cell centre a case may stand
-/// one at and against the other given points.
-void check_coordinates(const ScenarioSpec& spec) {
-  channel::TestbedChannel ch(spec.channel.testbed);
+/// Build the testbed channel once, as every case will: a parameter its
+/// constructor rejects (min_distance_m <= 0, say) would otherwise fail
+/// each case of the run. A finite coordinate can still be too far away to
+/// place: its signal underflows to 0 mW (past about 1e159 m), and every
+/// case would throw from TestbedChannel::place. Place each given point
+/// once, as the cases do, against a node at every cell centre a case may
+/// stand one at and against the other given points.
+void check_testbed(const ScenarioSpec& spec) {
+  std::optional<channel::TestbedChannel> built;
+  try {
+    built.emplace(spec.channel.testbed);
+  } catch (const std::exception& e) {
+    fail(spec, "channel.testbed parameters are invalid (" +
+                   std::string(e.what()) + ")");
+  }
+  if (spec.topology.positions.empty() &&
+      !spec.topology.eve_position.has_value())
+    return;
+  channel::TestbedChannel& ch = *built;
   std::uint16_t id = 0;
   try {
     for (std::size_t cell = 0; cell < channel::CellGrid::kCells; ++cell)
@@ -384,9 +397,7 @@ Compiled validate(const ScenarioSpec& spec) {
     }
     c.placement_sweep = c.testbed;
   }
-  if (!spec.topology.positions.empty() ||
-      spec.topology.eve_position.has_value())
-    check_coordinates(spec);
+  if (c.testbed) check_testbed(spec);
   // A testbed plan is built as explicit points, one allocation per case.
   if (c.testbed && case_count(c) > kMaxSweepValues) fail_too_many_cases(spec);
   return c;

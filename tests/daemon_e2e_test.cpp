@@ -85,9 +85,11 @@ class DaemonThread {
     daemon_ = std::make_unique<Daemon>(dc);  // binds here; port() is valid
     thread_ = std::thread([this] { daemon_->run(); });
   }
-  ~DaemonThread() {
+  ~DaemonThread() { stop(); }
+  // Stop the loop and wait for it: every datagram it read is handled.
+  void stop() {
     daemon_->stop();
-    thread_.join();
+    if (thread_.joinable()) thread_.join();
   }
   [[nodiscard]] std::uint16_t port() const { return daemon_->port(); }
   [[nodiscard]] const Daemon& daemon() const { return *daemon_; }
@@ -172,6 +174,22 @@ TEST(DaemonE2E, TwoConcurrentSessionsStayIsolated) {
   // Per-session Rng streams derive from (hub seed, session id): different
   // sessions must not share draws even with identical rosters and payloads.
   EXPECT_NE(ra[0].secret, rb[0].secret);
+}
+
+// Closing a session drops every member's peer-book entry at once, not
+// only the last kBye sender's: the others once waited for the 5 s prune,
+// so the book grew with the session rate.
+TEST(DaemonE2E, ClosedSessionLeavesNoPeerEntries) {
+  DaemonThread daemon(HubConfig{});
+  std::vector<NodeConfig> configs;
+  for (std::uint16_t id = 0; id < 3; ++id)
+    configs.push_back(make_node(id, 3, 0xB00C));
+  const auto results = run_clients(daemon.port(), configs);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    ASSERT_TRUE(results[i].ok) << "client " << i << ": " << results[i].error;
+  daemon.stop();
+  EXPECT_FALSE(daemon.daemon().hub().has_session(0xB00C));
+  EXPECT_EQ(daemon.daemon().peer_entries(), 0u);
 }
 
 TEST(DaemonE2E, UsesEpollWhereAvailable) {

@@ -5,15 +5,18 @@
 // checks, idle expiry through the on_tick scan, and the hub counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "channel/rng.h"
@@ -27,7 +30,8 @@ namespace {
 
 // Drives N NodeSessions against one hub on a shared fake clock. Datagrams
 // flow synchronously; the optional drop hooks simulate UDP loss on either
-// direction so the ARQ / kNack machinery actually has work to do.
+// direction so the ARQ / kNack machinery actually has work to do, and the
+// copy hooks repeat client datagrams, at once or stale.
 class LoopHarness {
  public:
   explicit LoopHarness(HubConfig config) : hub(std::move(config)) {}
@@ -68,22 +72,35 @@ class LoopHarness {
   // Return true to drop. Called once per datagram in each direction.
   std::function<bool(const Outgoing&)> drop_to_client;
   std::function<bool(const std::vector<std::uint8_t>&)> drop_to_hub;
+  // Return true to deliver a second copy of a delivered client datagram:
+  // a duplicate straight after it, or a held copy once its node's next
+  // datagram has reached the hub (a stale retransmit overtaken by a newer
+  // one).
+  std::function<bool(const std::vector<std::uint8_t>&)> duplicate_to_hub;
+  std::function<bool(const std::vector<std::uint8_t>&)> hold_to_hub;
 
  private:
   bool step() {
     bool any = false;
     std::vector<std::uint8_t> dgram;
-    std::vector<Outgoing> out;
-    for (auto& n : nodes_) {
-      while (n->poll_datagram(dgram)) {
+    held_.resize(nodes_.size());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      while (nodes_[i]->poll_datagram(dgram)) {
         any = true;
         if (drop_to_hub && drop_to_hub(dgram)) continue;
-        out.clear();
-        hub.on_datagram(dgram, now_, out);
-        route(out);
+        to_hub(dgram);
+        if (duplicate_to_hub && duplicate_to_hub(dgram)) to_hub(dgram);
+        for (const auto& stale : std::exchange(held_[i], {})) to_hub(stale);
+        if (hold_to_hub && hold_to_hub(dgram)) held_[i].push_back(dgram);
       }
     }
     return any;
+  }
+
+  void to_hub(const std::vector<std::uint8_t>& dgram) {
+    std::vector<Outgoing> out;
+    hub.on_datagram(dgram, now_, out);
+    route(out);
   }
 
   void route(const std::vector<Outgoing>& out) {
@@ -103,8 +120,17 @@ class LoopHarness {
 
   std::vector<std::unique_ptr<NodeSession>> nodes_;
   std::map<std::uint16_t, std::size_t> index_of_;
+  std::vector<std::vector<std::vector<std::uint8_t>>> held_;  // per node
   double now_ = 0.0;
 };
+
+// Whether a datagram holds a frame of `type`.
+bool carries(const std::vector<std::uint8_t>& datagram, FrameType type) {
+  const std::vector<Frame> frames = decode_all(datagram).frames;
+  return std::any_of(frames.begin(), frames.end(), [type](const Frame& f) {
+    return f.header.type == static_cast<std::uint8_t>(type);
+  });
+}
 
 NodeConfig make_node(std::uint16_t id, std::uint16_t members,
                      std::uint64_t session = 0xA11CE) {
@@ -176,11 +202,12 @@ TEST(NetdLoop, RecoversFromDroppedRelays) {
   LoopHarness h{HubConfig{}};
   h.add_node(make_node(0, 2));
   h.add_node(make_node(1, 2));
-  // Drop every 5th hub->client datagram: relays develop gaps (kNack
-  // recovery) and acks vanish (ARQ retransmit must kick in).
+  // Drop every 5th relay-bearing hub->client datagram: relays develop gaps
+  // (kNack recovery) and acks riding with them vanish (ARQ retransmit must
+  // kick in).
   std::size_t counter = 0;
-  h.drop_to_client = [&counter](const Outgoing&) {
-    return ++counter % 5 == 0;
+  h.drop_to_client = [&counter](const Outgoing& o) {
+    return carries(o.datagram, FrameType::kRelay) && ++counter % 5 == 0;
   };
   ASSERT_TRUE(h.run());
   EXPECT_EQ(h.node(0).secret(), h.node(1).secret());
@@ -201,6 +228,55 @@ TEST(NetdLoop, RecoversFromDroppedClientFrames) {
   EXPECT_FALSE(h.node(0).secret().empty());
 }
 
+// docs/daemon.md: the hub's draws are a pure function of the kData frame
+// order, and retransmits are draw-neutral. So copies of client datagrams,
+// repeated at once or arriving after a newer datagram, must leave every
+// key and the relay count exactly as in the fault-free run.
+TEST(NetdLoop, StaleAndDuplicateClientDatagramsDrawNothing) {
+  struct Outcome {
+    std::vector<std::vector<std::uint8_t>> keys;
+    std::uint64_t relayed = 0;
+  };
+  const auto run = [](const std::function<void(LoopHarness&)>& faults) {
+    HubConfig hc;
+    hc.loss_p = 0.3;
+    hc.seed = 11;
+    LoopHarness h{hc};
+    for (std::uint16_t id = 0; id < 3; ++id) h.add_node(make_node(id, 3));
+    faults(h);
+    EXPECT_TRUE(h.run());
+    Outcome o;
+    for (std::size_t i = 0; i < h.size(); ++i)
+      o.keys.push_back(h.node(i).secret());
+    o.relayed = h.hub.stats().frames_relayed.load();
+    return o;
+  };
+  const Outcome clean = run([](LoopHarness&) {});
+  ASSERT_FALSE(clean.keys[0].empty());
+  const auto expect_clean = [&clean](const Outcome& o, const char* faults) {
+    EXPECT_EQ(o.keys, clean.keys) << faults;
+    EXPECT_EQ(o.relayed, clean.relayed) << faults;
+  };
+
+  // The case to try first: Alice's first x-packets arrive again after her
+  // next datagram. Once, this drew and relayed them a second time.
+  bool held = false;
+  expect_clean(run([&held](LoopHarness& h) {
+                 h.hold_to_hub = [&held](const std::vector<std::uint8_t>& d) {
+                   if (held || !carries(d, FrameType::kData)) return false;
+                   return held = true;
+                 };
+               }),
+               "the first kData datagram arriving again, stale");
+  EXPECT_TRUE(held);
+
+  const auto always = [](const std::vector<std::uint8_t>&) { return true; };
+  expect_clean(run([&](LoopHarness& h) { h.hold_to_hub = always; }),
+               "every client datagram arriving again, stale");
+  expect_clean(run([&](LoopHarness& h) { h.duplicate_to_hub = always; }),
+               "every client datagram duplicated");
+}
+
 TEST(NetdLoop, LossyDeliveryActuallyErases) {
   // With loss and several rounds, at least one kData frame must miss at
   // least one peer — otherwise the "lossy" channel is not lossy and the
@@ -213,12 +289,10 @@ TEST(NetdLoop, LossyDeliveryActuallyErases) {
   h.add_node(make_node(1, 2));
   std::size_t erased = 0;
   h.drop_to_client = [&erased](const Outgoing& o) {
-    const DecodeResult d = decode(o.datagram);
-    if (d.frame.has_value() &&
-        d.frame->header.type ==
-            static_cast<std::uint8_t>(FrameType::kTxReport) &&
-        d.frame->header.aux == 0)
-      ++erased;
+    for (const Frame& f : decode_all(o.datagram).frames)
+      if (f.header.type == static_cast<std::uint8_t>(FrameType::kTxReport) &&
+          f.header.aux == 0)
+        ++erased;
     return false;
   };
   ASSERT_TRUE(h.run());
@@ -317,10 +391,7 @@ TEST(NetdLoop, SurvivesLostReady) {
   h.add_node(make_node(1, 2));
   std::size_t dropped = 0;
   h.drop_to_client = [&dropped](const Outgoing& o) {
-    const DecodeResult d = decode(o.datagram);
-    if (d.frame.has_value() &&
-        static_cast<FrameType>(d.frame->header.type) == FrameType::kReady &&
-        dropped < 2) {
+    if (carries(o.datagram, FrameType::kReady) && dropped < 2) {
       ++dropped;
       return true;  // both members' first kReady vanish
     }
@@ -394,9 +465,8 @@ TEST(NetdHub, EveAttachListensWithoutJoiningRoster) {
   std::set<Key> data_sent, ctrl_sent, heard_by_eve;
   std::size_t eve_x_relays = 0;
   h.drop_to_hub = [&](const std::vector<std::uint8_t>& dgram) {
-    const DecodeResult d = decode(dgram);
-    if (d.frame.has_value()) {
-      const FrameHeader& hd = d.frame->header;
+    for (const Frame& f : decode_all(dgram).frames) {
+      const FrameHeader& hd = f.header;
       const Key key{hd.node, hd.phase, hd.round, hd.seq};
       if (hd.type == static_cast<std::uint8_t>(FrameType::kData))
         data_sent.insert(key);
@@ -406,10 +476,10 @@ TEST(NetdHub, EveAttachListensWithoutJoiningRoster) {
     return false;
   };
   h.drop_to_client = [&](const Outgoing& o) {
-    const DecodeResult d = decode(o.datagram);
-    if (o.node == 2 && d.frame.has_value() &&
-        d.frame->header.type == static_cast<std::uint8_t>(FrameType::kRelay)) {
-      const FrameHeader& hd = d.frame->header;
+    if (o.node != 2) return false;
+    for (const Frame& f : decode_all(o.datagram).frames) {
+      const FrameHeader& hd = f.header;
+      if (hd.type != static_cast<std::uint8_t>(FrameType::kRelay)) continue;
       heard_by_eve.insert({hd.node, hd.phase, hd.round, hd.seq});
       if (hd.phase == static_cast<std::uint8_t>(WirePhase::kXData))
         ++eve_x_relays;
@@ -447,14 +517,15 @@ TEST(NetdHub, NackPastRingRepliesError) {
   attach.header.node = 1;
   send(attach);
 
-  // 68 reliable broadcasts from node 0: node 1's relay ring (depth 64)
-  // evicts relay seqs 0-3.
+  // 68 reliable broadcasts from node 0, at stream seqs 0-67: node 1's
+  // relay ring (depth 64) evicts relay seqs 0-3.
   for (std::uint32_t i = 0; i < 68; ++i) {
     Frame ctrl;
     ctrl.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
     ctrl.header.session = 5;
     ctrl.header.node = 0;
     ctrl.header.seq = i;
+    ctrl.header.aux = i;
     send(ctrl);
   }
 
@@ -468,11 +539,12 @@ TEST(NetdHub, NackPastRingRepliesError) {
   send(nack);
   bool saw_error = false;
   for (const Outgoing& o : out) {
-    const DecodeResult d = decode(o.datagram);
-    ASSERT_TRUE(d.frame.has_value());
-    if (static_cast<FrameType>(d.frame->header.type) == FrameType::kError &&
-        o.node == 1)
-      saw_error = true;
+    const DecodeAllResult d = decode_all(o.datagram);
+    ASSERT_FALSE(d.frames.empty());
+    for (const Frame& f : d.frames)
+      if (static_cast<FrameType>(f.header.type) == FrameType::kError &&
+          o.node == 1)
+        saw_error = true;
   }
   EXPECT_TRUE(saw_error);
 
@@ -480,13 +552,112 @@ TEST(NetdHub, NackPastRingRepliesError) {
   nack.header.aux = 66;
   send(nack);
   std::size_t relays = 0;
-  for (const Outgoing& o : out) {
-    const DecodeResult d = decode(o.datagram);
-    if (d.frame.has_value() &&
-        static_cast<FrameType>(d.frame->header.type) == FrameType::kRelay)
-      ++relays;
-  }
+  for (const Outgoing& o : out)
+    for (const Frame& f : decode_all(o.datagram).frames)
+      if (static_cast<FrameType>(f.header.type) == FrameType::kRelay)
+        ++relays;
   EXPECT_EQ(relays, 2u) << "expected seqs 66 and 67 resent";
+}
+
+// The replies to one datagram are coalesced per destination; a lone
+// attach is still answered by a one-frame kAttachOk datagram.
+TEST(NetdHub, RepliesCoalescePerDestination) {
+  SessionHub hub(HubConfig{});
+  std::vector<Outgoing> out;
+  const auto frame_types = [](const Outgoing& o) {
+    std::vector<FrameType> types;
+    for (const Frame& f : decode_all(o.datagram).frames)
+      types.push_back(static_cast<FrameType>(f.header.type));
+    return types;
+  };
+
+  Frame attach;
+  attach.header.type = static_cast<std::uint8_t>(FrameType::kAttach);
+  attach.header.session = 5;
+  attach.header.aux = 2;
+  hub.on_datagram(encode(attach), 0.0, out);
+  ASSERT_EQ(out.size(), 1u);
+  const DecodeResult ok = decode(out[0].datagram);
+  ASSERT_TRUE(ok.frame.has_value());
+  EXPECT_EQ(static_cast<FrameType>(ok.frame->header.type),
+            FrameType::kAttachOk);
+
+  out.clear();
+  attach.header.node = 1;
+  hub.on_datagram(encode(attach), 0.0, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].node, 1);
+  EXPECT_EQ(frame_types(out[0]),
+            (std::vector<FrameType>{FrameType::kAttachOk, FrameType::kReady}));
+  EXPECT_EQ(out[1].node, 0);
+  EXPECT_EQ(frame_types(out[1]), std::vector<FrameType>{FrameType::kReady});
+
+  // Three reliable broadcasts in one datagram: one datagram of three acks
+  // back to the sender, one of three relays to the peer.
+  std::vector<std::uint8_t> burst;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    Frame ctrl;
+    ctrl.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
+    ctrl.header.session = 5;
+    ctrl.header.seq = i;
+    ctrl.header.aux = i;
+    ctrl.payload.assign(10, static_cast<std::uint8_t>(i));
+    encode_into(ctrl, burst);
+  }
+  out.clear();
+  hub.on_datagram(burst, 0.0, out);
+  ASSERT_EQ(out.size(), 2u);
+  const auto [to_peer, to_sender] =
+      out[0].node == 1 ? std::pair{out[0], out[1]} : std::pair{out[1], out[0]};
+  EXPECT_EQ(frame_types(to_sender), std::vector<FrameType>(
+                                        3, FrameType::kCtrlAck));
+  EXPECT_EQ(frame_types(to_peer), std::vector<FrameType>(3, FrameType::kRelay));
+  EXPECT_EQ(hub.stats().frames_relayed.load(), 3u);
+}
+
+// One datagram, one sender: a datagram whose frames name two (session,
+// node) pairs is one decode error, and none of its frames acts.
+TEST(NetdHub, MixedSenderDatagramIsOneDecodeError) {
+  SessionHub hub(HubConfig{});
+  std::vector<Outgoing> out;
+  Frame attach;
+  attach.header.type = static_cast<std::uint8_t>(FrameType::kAttach);
+  attach.header.session = 5;
+  attach.header.aux = 2;
+  for (std::uint16_t node = 0; node < 2; ++node) {
+    attach.header.node = node;
+    hub.on_datagram(encode(attach), 0.0, out);
+  }
+
+  Frame ctrl;
+  ctrl.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
+  ctrl.header.session = 5;
+  // Frames at stream seqs 0 and 1, the second from (session, node).
+  const auto pair_of = [&ctrl](std::uint64_t session, std::uint16_t node) {
+    std::vector<std::uint8_t> dgram = encode(ctrl);
+    Frame other = ctrl;
+    other.header.session = session;
+    other.header.node = node;
+    other.header.aux = 1;
+    encode_into(other, dgram);
+    return dgram;
+  };
+  std::uint64_t errors = 0;
+  for (const auto& dgram : {pair_of(5, 1), pair_of(6, 0)}) {
+    out.clear();
+    EXPECT_FALSE(hub.on_datagram(dgram, 0.0, out).has_value());
+    EXPECT_EQ(hub.stats().decode_errors.load(), ++errors);
+    EXPECT_TRUE(out.empty());
+  }
+  EXPECT_EQ(hub.stats().frames_relayed.load(), 0u);
+
+  out.clear();
+  const std::optional<PeerKey> sender =
+      hub.on_datagram(pair_of(5, 0), 0.0, out);
+  ASSERT_TRUE(sender.has_value());
+  EXPECT_EQ(*sender, (PeerKey{5, 0}));
+  EXPECT_EQ(hub.stats().decode_errors.load(), errors);
+  EXPECT_EQ(hub.stats().frames_relayed.load(), 2u);
 }
 
 TEST(NetdHub, SessionExpiresWhenIdle) {

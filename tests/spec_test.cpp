@@ -306,6 +306,17 @@ TEST(SpecCompile, RejectsInconsistentSpecs) {
   spec.topology.eve_position->x = 1e150;
   EXPECT_NO_THROW((void)compile(spec));
 
+  // A testbed parameter the channel's constructor rejects: this once
+  // compiled, then failed the run with "LogDistancePathLoss:
+  // min_distance_m <= 0".
+  spec = fig2_spec();
+  spec.channel.testbed.pathloss.min_distance_m = 0.0;
+  expect_compile_error(spec, "channel.testbed parameters are invalid");
+  expect_compile_error(
+      parse_spec("name = \"d\"\n[topology]\nn = [3]\n[channel]\n"
+                 "model = \"testbed\"\nmin_distance_m = 0\n"),
+      "min_distance_m <= 0");
+
   // Sizes compile() must refuse before any plan is built. Each of these
   // once compiled, leaving run_scenario to build millions of explicit
   // points or fail with std::bad_alloc.

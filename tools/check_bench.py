@@ -6,10 +6,11 @@ Usage: check_bench.py BASELINE FRESH [--tolerance F]
 
 The fresh file's "bench" field picks a rule table from BENCHES: the
 top-level keys the file must carry, then rules checked in order. The
-first rule that fails ends the run with exit 1. Absolute numbers move
+first rule that fails ends the run with exit 1. Absolute timings move
 with the runner hardware, so only one rule compares them with the
 snapshot, within a --tolerance (engine 1-thread cases/s, default 0.10).
-The others hold the bench's own contract.
+One more compares a count that does not depend on the host (daemon
+datagrams per session). The others hold the bench's own contract.
 
 Before the rules run, every number is printed with its change vs the
 snapshot, then both files' host fingerprints and whether they match.
@@ -172,8 +173,24 @@ ENGINE = Bench(
 
 # -------------------------------------------------------------- daemon
 # micro_daemon exits nonzero unless every session agreed on its key. CI
-# runs 50 sessions against the 1000-session snapshot, so its numbers are
-# for reading only.
+# runs 50 sessions against the 1000-session snapshot, so its times and
+# rates are for reading only. Datagrams per session depend on neither the
+# session count nor the host (7 at 50 and at 1000 sessions with batched
+# frames, 20 with one frame per datagram), so they are gated.
+MAX_DATAGRAM_GROWTH = 0.25
+
+
+def daemon_datagrams_per_session(base, fresh, _tolerance):
+    if not (base["completed"] and fresh["completed"]):
+        return None  # the completion rule speaks for an empty run
+    b, f = (doc["datagrams_in"] / doc["completed"] for doc in (base, fresh))
+    if f > b * (1 + MAX_DATAGRAM_GROWTH):
+        return (f"{f:.1f} datagrams in per completed session vs {b:.1f} in "
+                f"the snapshot (> +{100 * MAX_DATAGRAM_GROWTH:.0f}%): the "
+                "wire stopped batching frames")
+    return None
+
+
 DAEMON = Bench(
     keys=("sessions", "requested_sessions", "completed",
           "with_nonzero_secret", "p50_time_to_key_ms", "p99_time_to_key_ms",
@@ -190,6 +207,8 @@ DAEMON = Bench(
              and "time-to-key p50 > p99: percentiles are malformed",
              lambda d: d.update(
                  p50_time_to_key_ms=d["p99_time_to_key_ms"] + 1)),
+        Rule(daemon_datagrams_per_session,
+             lambda d: d.update(datagrams_in=d["datagrams_in"] * 2)),
     ])
 
 BENCHES = {"micro_gf": GF, "micro_engine": ENGINE, "micro_daemon": DAEMON}

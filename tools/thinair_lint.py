@@ -25,11 +25,11 @@ depends on, but that no general-purpose tool knows to look for:
                         from PayloadArena bumps; raw new/malloc there
                         defeats the arena and fragments the round loop.
   netd-wire-decode      Daemon code consumes datagram bytes only through
-                        the total decoder (netd/wire.h's decode()) plus
-                        the socket wrappers (netd/udp). Ad-hoc byte
-                        picking or reinterpret_cast framing bypasses the
-                        validated parse that the anti-spoofing argument
-                        rests on.
+                        the total decoders (netd/wire.h's decode() and
+                        decode_all()) plus the socket wrappers
+                        (netd/udp). Ad-hoc byte picking or
+                        reinterpret_cast framing bypasses the validated
+                        parse that the anti-spoofing argument rests on.
 
 Usage:
   thinair_lint.py --compile-commands build/compile_commands.json
@@ -254,7 +254,7 @@ def rule_raw_alloc_hot_path(code: str, header: str) -> list[Finding]:
 _WIRE_CAST_RE = re.compile(r"\breinterpret_cast\b")
 # Indexing/offset reads into the raw datagram span. Raw receive buffers in
 # netd are consistently named 'datagram', 'bytes' or 'buf'; the only code
-# allowed to pick bytes out of them is wire.cpp's decode().
+# allowed to pick bytes out of them is wire.cpp's decoders.
 _WIRE_INDEX_RE = re.compile(r"\b(datagram|bytes|buf)\s*\[")
 
 
