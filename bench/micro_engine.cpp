@@ -1,9 +1,10 @@
-// micro_engine — the sweep engine under a sink-bound load.
+// micro_engine — the sweep engine under a sink-bound load and under the
+// paper's headline sweep.
 //
 // Runs a near-zero-work scenario (two metrics derived from the case
 // seed by a handful of integer ops) so that end-to-end throughput is
-// dominated by the result path: per-case scheduling, the workers'
-// ring pushes, and the drainer's reorder/format/fold work. Measures
+// dominated by the result path: per-case scheduling and the sink's
+// reorder/format/fold work. Measures
 //
 //   - cases/s at thread counts {1, 2, 4, ...} up to hardware
 //     concurrency (best of --reps runs each), NDJSON formatting
@@ -11,6 +12,11 @@
 //     is excluded), and
 //   - the p50/p99 latency of a single ResultSink::push call under a
 //     steady single-producer stream.
+//
+// Then runs the registered headline sweep (1971 testbed placements, seed
+// 42) at 1 and at min(4, hardware) threads, best of --reps each, and
+// reports the ratio as headline_speedup: the scaling of a real workload,
+// which tools/check_bench.py gates.
 //
 // Writes BENCH_engine.json and exits nonzero unless every sweep emitted
 // every case with the expected aggregate — the CI run doubles as a
@@ -32,6 +38,7 @@
 #include "report.h"
 #include "runtime/engine.h"
 #include "runtime/result_sink.h"
+#include "runtime/scenarios.h"
 #include "util/parse.h"
 
 namespace {
@@ -44,8 +51,8 @@ struct Options {
   std::size_t reps = 3;
 };
 
-// Swallows everything: keeps the drainer's formatting + buffered writes
-// in the measurement while excluding filesystem variance.
+// Swallows everything: keeps the sink's formatting and writes in the
+// measurement while excluding filesystem variance.
 struct NullBuf : std::streambuf {
   int_type overflow(int_type c) override { return traits_type::not_eof(c); }
   std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
@@ -78,21 +85,31 @@ runtime::Scenario trivial_scenario(std::size_t cases) {
   return s;
 }
 
-double run_once(std::size_t cases, std::size_t threads) {
+double run_once(const runtime::Scenario& scenario, std::size_t threads,
+                std::uint64_t seed) {
   NullBuf buf;
   std::ostream null_stream(&buf);
-  runtime::ResultSink sink("micro_engine", &null_stream);
+  runtime::ResultSink sink(scenario.name, &null_stream);
   runtime::RunOptions options;
   options.threads = threads;
-  options.master_seed = 2026;
+  options.master_seed = seed;
   const runtime::RunStats stats =
-      runtime::run_scenario(trivial_scenario(cases), options, sink);
-  if (sink.cases() != cases || sink.summaries().empty()) {
-    std::fprintf(stderr, "micro_engine: sweep lost cases (%zu of %zu)\n",
-                 sink.cases(), cases);
+      runtime::run_scenario(scenario, options, sink);
+  if (sink.cases() != stats.plan_cases || sink.summaries().empty()) {
+    std::fprintf(stderr, "micro_engine: %s lost cases (%zu of %zu)\n",
+                 scenario.name.c_str(), sink.cases(), stats.plan_cases);
     std::exit(1);
   }
   return stats.cases_per_s();
+}
+
+// Best of `reps` runs: sheds scheduler noise.
+double best_rate(const runtime::Scenario& scenario, std::size_t threads,
+                 std::uint64_t seed, std::size_t reps) {
+  double best = 0.0;
+  for (std::size_t rep = 0; rep < reps; ++rep)
+    best = std::max(best, run_once(scenario, threads, seed));
+  return best;
 }
 
 struct PushLatency {
@@ -108,7 +125,7 @@ struct ReorderProbe {
 
 // Forces the reorder window to do real work: cases are pushed in
 // block-reversed order (each kBlock-sized block back to front), so the
-// drainer must park kBlock-1 records before the block's first index
+// sink must park kBlock-1 records before the block's first index
 // arrives and unblocks emission of the whole block.
 ReorderProbe measure_reorder(std::size_t cases) {
   constexpr std::size_t kBlock = 4096;
@@ -207,18 +224,32 @@ int main(int argc, char** argv) {
   std::printf("reorder probe (block %zu): %12.0f cases/s\n", reorder.block,
               reorder.cases_per_s);
 
+  const runtime::Scenario trivial = trivial_scenario(opt.cases);
   std::vector<double> cases_per_s(thread_counts.size(), 0.0);
   for (std::size_t k = 0; k < thread_counts.size(); ++k) {
-    // Best of --reps runs: sheds scheduler noise.
-    for (std::size_t rep = 0; rep < opt.reps; ++rep)
-      cases_per_s[k] =
-          std::max(cases_per_s[k], run_once(opt.cases, thread_counts[k]));
+    cases_per_s[k] = best_rate(trivial, thread_counts[k], 2026, opt.reps);
     std::printf("threads %2zu: %12.0f cases/s\n", thread_counts[k],
                 cases_per_s[k]);
   }
   const double speedup = cases_per_s.back() / cases_per_s.front();
   std::printf("max-threads vs 1-thread: %.2fx (%zu hardware threads)\n",
               speedup, hw);
+
+  // A headline case costs about 0.5 ms and the sink about 1 us of it, so
+  // this ratio measures the engine on real work, not the sink.
+  runtime::register_builtin_scenarios();
+  const runtime::Scenario& headline =
+      *runtime::ScenarioRegistry::instance().find(runtime::kHeadlineScenario);
+  const std::size_t headline_threads[] = {1, std::min<std::size_t>(4, hw)};
+  double headline_rate[2] = {};
+  for (std::size_t k = 0; k < 2; ++k) {
+    headline_rate[k] = best_rate(headline, headline_threads[k], 42, opt.reps);
+    std::printf("headline, threads %zu: %9.0f cases/s\n", headline_threads[k],
+                headline_rate[k]);
+  }
+  const double headline_speedup = headline_rate[1] / headline_rate[0];
+  std::printf("headline %zu threads vs 1: %.2fx\n", headline_threads[1],
+              headline_speedup);
 
   bench::Report report("engine");
   report.count("cases", opt.cases)
@@ -237,6 +268,13 @@ int main(int argc, char** argv) {
       .count("block", reorder.block)
       .count("cases", reorder.cases)
       .num("cases_per_s", reorder.cases_per_s, 1)
-      .end();
+      .end()
+      .array("headline");
+  for (std::size_t k = 0; k < 2; ++k)
+    report.object()
+        .count("threads", headline_threads[k])
+        .num("cases_per_s", headline_rate[k], 1)
+        .end();
+  report.end().num("headline_speedup", headline_speedup);
   return report.write();
 }

@@ -76,6 +76,10 @@ std::optional<ReceptionReport> decode_report(
   // The bitmap is exactly the rest of the input, read in place.
   if (in.remaining() != (std::size_t{*universe} + 7) / 8) return std::nullopt;
   const std::span<const std::uint8_t> bitmap = bytes.last(in.remaining());
+  // Bits at or past the universe pad the last byte and must be clear, so
+  // a report has exactly one encoding.
+  if (*universe % 8 != 0 && (bitmap.back() >> (*universe % 8)) != 0)
+    return std::nullopt;
   ReceptionReport r;
   r.universe = *universe;
   for (std::uint32_t idx = 0; idx < r.universe; ++idx)

@@ -30,9 +30,10 @@ struct ReceptionReport {
 /// encode() into a caller-owned payload (cleared first): a session
 /// re-encoding into the same buffer every round reuses its capacity.
 void encode_into(const ReceptionReport& r, Payload& out);
-/// Total: rejects (nullopt) a universe above `max_universe` and any input
-/// whose length is not exactly the encoding's, never throws, and never
-/// allocates more than the reported indices.
+/// Total: rejects (nullopt) a universe above `max_universe`, any input
+/// whose length is not exactly the encoding's and a set padding bit (one
+/// at or past the universe), never throws, and never allocates more than
+/// the reported indices. An accepted input is encode()'s own bytes.
 [[nodiscard]] std::optional<ReceptionReport> decode_report(
     std::span<const std::uint8_t> bytes, std::uint32_t max_universe);
 
@@ -46,7 +47,8 @@ struct Announcement {
 /// encode() into a caller-owned payload (cleared first), reusing capacity.
 void encode_into(const Announcement& a, Payload& out);
 /// Total: rejects (nullopt) truncated or trailing input, never throws, and
-/// reserves nothing its input is too short to fill.
+/// reserves nothing its input is too short to fill. An accepted input is
+/// encode()'s own bytes.
 [[nodiscard]] std::optional<Announcement> decode_announcement(
     std::span<const std::uint8_t> bytes);
 

@@ -53,7 +53,7 @@ RunStats run_scenario(const Scenario& scenario, const RunOptions& options,
 
   // Every thread — the caller and threads - 1 helpers — claims the next
   // index from one shared cursor, so `threads` is the number of threads
-  // running cases (and pushing into sink rings), and grain-1 claims keep
+  // running cases (and pushing into the sink), and grain-1 claims keep
   // completion order close to index order while absorbing uneven case
   // costs. The first case exception parks the cursor past the end, so
   // no thread claims another case, and is rethrown after the join.

@@ -2,9 +2,10 @@
 // The sweep engine: expands a scenario's SweepPlan, derives one seed per
 // case, runs every case on `threads` threads (the calling thread plus
 // threads - 1 helpers) that claim case indices from one shared atomic
-// cursor, and streams the results through a ResultSink, whose drainer
-// thread owns all formatting and I/O — workers only ever do a wait-free
-// ring push (see docs/runtime.md). The determinism contract:
+// cursor, and streams the results through a ResultSink, where each
+// worker formats its own NDJSON line and emits, under the sink's one
+// lock, whatever run of cases is ready in index order (see
+// docs/runtime.md). The determinism contract:
 // for a fixed (scenario, master_seed), the NDJSON bytes and the summary
 // aggregates are identical for every thread count, because nothing
 // observable depends on scheduling — seeds come from case indices and

@@ -12,7 +12,7 @@
 //                      destruction holds the mutex.
 //   util::Role       — a capability with no runtime state at all, for
 //                      single-owner data: a region that calls acquire()
-//                      claims the role (e.g. "I am the drainer thread"),
+//                      claims the role (e.g. "I am the event loop"),
 //                      and THINAIR_GUARDED_BY(role_) turns any touch
 //                      outside such a region into a compile error. The
 //                      happens-before edge itself comes from elsewhere

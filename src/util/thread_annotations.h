@@ -18,7 +18,7 @@
 //
 // Capabilities are not only mutexes — util/mutex.h also defines
 // util::Role, a no-op capability for single-owner state (e.g. "only the
-// drainer thread touches this"): acquiring the role marks the code region
+// daemon's event-loop thread touches this"): acquiring the role marks the code region
 // that claims ownership, and GUARDED_BY makes stray touches a compile
 // error even though nothing is locked at runtime.
 

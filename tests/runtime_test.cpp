@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <ostream>
 #include <random>
 #include <set>
 #include <sstream>
+#include <streambuf>
 #include <thread>
 
 #include "channel/rng.h"
@@ -135,21 +137,23 @@ TEST(ResultSink, SummaryTablePrintsFigure2Quantiles) {
 
 TEST(ResultSink, RejectsDuplicatesAndGaps) {
   {
-    // Duplicate pushes are detected on the drainer (push itself is a
-    // wait-free enqueue) and surface when finish() joins it.
+    // A duplicate of an emitted index throws from the push, so the
+    // engine stops claiming cases at once.
     ResultSink sink("s", nullptr);
     sink.push(CaseSpec{0, 0, {}}, CaseResult{});
-    sink.push(CaseSpec{0, 0, {}}, CaseResult{});
-    EXPECT_THROW(sink.finish(), std::logic_error);
+    EXPECT_THROW(sink.push(CaseSpec{0, 0, {}}, CaseResult{}),
+                 std::logic_error);
   }
   {
     // A duplicate of an index still parked in the reorder window.
     ResultSink sink("s", nullptr);
     sink.push(CaseSpec{2, 0, {}}, CaseResult{});
-    sink.push(CaseSpec{2, 0, {}}, CaseResult{});
+    EXPECT_THROW(sink.push(CaseSpec{2, 0, {}}, CaseResult{}),
+                 std::logic_error);
     sink.push(CaseSpec{0, 0, {}}, CaseResult{});
     sink.push(CaseSpec{1, 0, {}}, CaseResult{});
-    EXPECT_THROW(sink.finish(), std::logic_error);
+    sink.finish();  // the rejected push left the window intact
+    EXPECT_EQ(sink.cases(), 3u);
   }
   {
     ResultSink sink("s", nullptr);
@@ -161,7 +165,7 @@ TEST(ResultSink, RejectsDuplicatesAndGaps) {
 
 TEST(ResultSink, DestructionWithoutFinishIsClean) {
   // The error-unwind path: a sink abandoned mid-run (engine rethrowing a
-  // case exception) must stop its drainer without touching the stream.
+  // case exception) must leave the stream untouched.
   std::ostringstream out;
   {
     ResultSink sink("s", &out);
@@ -174,7 +178,7 @@ TEST(ResultSink, StressRandomPushOrderMatchesSingleThreadedBytes) {
   // Thousands of cases pushed from several threads in shuffled order
   // must produce byte-identical NDJSON (and summaries) to an in-order
   // single-threaded reference push — the determinism contract exercised
-  // directly at the sink layer, through the rings and the drainer.
+  // directly at the sink layer, through its lock and reorder window.
   constexpr std::size_t kCases = 4000;
   constexpr std::size_t kThreads = 4;
   const auto spec = [](std::size_t i) {
@@ -306,6 +310,41 @@ TEST(Engine, CaseExceptionsPropagate) {
     if (threads == 1) {
       EXPECT_EQ(ran_after_throw.load(), 0);
     }
+  }
+}
+
+// A device that takes `room` bytes and then refuses every write, as a
+// full disk does. (The sink writes whole lines, so only xsputn is used.)
+struct FullAfter : std::streambuf {
+  explicit FullAfter(std::size_t bytes) : room(bytes) {}
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    if (static_cast<std::size_t>(n) > room) return 0;
+    room -= static_cast<std::size_t>(n);
+    return n;
+  }
+  std::size_t room;
+};
+
+TEST(Engine, FailedStreamStopsTheRun) {
+  // The sink throws from the push that found the stream failed, so the
+  // sweep stops within a few cases instead of computing all of them.
+  constexpr std::size_t kCases = 5000;
+  for (const std::size_t threads : {1u, 4u}) {
+    std::atomic<std::size_t> ran{0};
+    Scenario s = synthetic_scenario(kCases);
+    const auto run = s.run;
+    s.run = [&](const CaseSpec& spec) {
+      ran.fetch_add(1);
+      return run(spec);
+    };
+    FullAfter device(4096);
+    std::ostream out(&device);
+    ResultSink sink(s.name, &out);
+    RunOptions options;
+    options.threads = threads;
+    EXPECT_THROW((void)run_scenario(s, options, sink), std::runtime_error);
+    EXPECT_FALSE(out.good());
+    EXPECT_LT(ran.load(), kCases / 10) << "threads=" << threads;
   }
 }
 

@@ -7,8 +7,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
+#include <iterator>
 #include <limits>
 #include <new>
+#include <optional>
+#include <random>
+#include <vector>
 
 // The largest single request made of the global operator new (replaced
 // at the bottom of the file) since the test last reset it.
@@ -74,6 +79,15 @@ TEST(Serialize, ReportRejectsWrappingUniverse) {
   EXPECT_FALSE(decode_report(wrap, kAnyN).has_value());
 }
 
+TEST(Serialize, ReportRejectsPaddingBits) {
+  // Universe 3 with padding bits 3-7 set was accepted and re-encoded as
+  // 03 00 00 00 00: two byte strings decoded to one report.
+  EXPECT_FALSE(decode_report(Payload{0x03, 0x00, 0x00, 0x00, 0xF8}, kMaxN)
+                   .has_value());
+  EXPECT_EQ(decode_report(Payload{0x03, 0x00, 0x00, 0x00, 0x07}, kMaxN),
+            (ReceptionReport{3, {0, 1, 2}}));
+}
+
 TEST(Serialize, DecodersReserveNoMoreThanTheirInput) {
   // Universe 2^32 - 16 in 5 bytes: the report decoder once reserved its
   // 512 MiB bitmap before finding the input short.
@@ -132,6 +146,107 @@ TEST(Serialize, AnnouncementRejectsTruncated) {
                         bytes.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_FALSE(decode_announcement(trunc).has_value()) << "cut=" << cut;
   }
+}
+
+// Valid encodings the fuzz below mutates.
+std::vector<Payload> fuzz_corpus() {
+  std::vector<Payload> corpus;
+  for (const std::uint32_t n : {0u, 1u, 3u, 8u, 9u, 90u, 255u, 4096u}) {
+    ReceptionReport r{n, {}};
+    for (std::uint32_t i = 0; i < n; i += 1 + i % 3) r.received.push_back(i);
+    corpus.push_back(encode(r));
+  }
+  Announcement a;
+  corpus.push_back(encode(a));
+  for (std::uint32_t c = 0; c < 40; ++c) {
+    Combination comb;
+    for (std::uint32_t t = 0; t <= c % 7; ++t)
+      comb.add(c * 31 + t, gf::GF256(static_cast<std::uint8_t>(1 + c + t)));
+    a.combinations.push_back(comb);
+    if (c % 8 == 0) corpus.push_back(encode(a));
+  }
+  return corpus;
+}
+
+// One seeded mutation: truncate, extend, flip bits, or splice a count
+// (an extreme or random 16- or 32-bit value) over some offset.
+void mutate(Payload& bytes, std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0:
+      bytes.resize(rng() % (bytes.size() + 1));
+      break;
+    case 1:
+      for (std::size_t k = 1 + rng() % 8; k > 0; --k)
+        bytes.push_back(static_cast<std::uint8_t>(rng()));
+      break;
+    case 2:
+      if (bytes.empty()) break;
+      for (std::size_t k = 1 + rng() % 3; k > 0; --k)
+        bytes[rng() % bytes.size()] ^=
+            static_cast<std::uint8_t>(1u << (rng() % 8));
+      break;
+    default: {
+      static constexpr std::uint32_t kCounts[] = {0, 1, 0xFF, 0xFFFF,
+                                                  0xFFFFFFFF, 4096, 4097};
+      const std::size_t width = rng() % 2 == 0 ? 2 : 4;
+      if (bytes.size() < width) break;
+      const std::uint32_t value =
+          rng() % 2 == 0 ? kCounts[rng() % std::size(kCounts)]
+                         : static_cast<std::uint32_t>(rng());
+      const std::size_t at = rng() % (bytes.size() - width + 1);
+      for (std::size_t i = 0; i < width; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+  }
+}
+
+TEST(Serialize, DecoderFuzzIsTotalBoundedAndCanonical) {
+  // Every mutant goes to both decoders. Each returns or rejects without
+  // throwing, makes no single request of operator new above
+  // kAllocPerByte bytes per input byte (a report's index vector is the
+  // largest: under 16 indices of 4 bytes per bitmap byte), and an
+  // accepted input re-encodes to its own bytes.
+  constexpr std::size_t kMutants = 100000;
+  constexpr std::size_t kAllocPerByte = 64;
+  const std::vector<Payload> corpus = fuzz_corpus();
+  std::mt19937_64 rng(20121029);
+  std::size_t reports = 0, announcements = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    Payload bytes = corpus[i % corpus.size()];
+    for (std::size_t k = 1 + rng() % 3; k > 0; --k) mutate(bytes, rng);
+    const std::size_t limit = kAllocPerByte * bytes.size();
+
+    for (const std::uint32_t bound : {kMaxN, kAnyN}) {
+      std::optional<ReceptionReport> r;
+      g_largest_alloc = 0;
+      try {
+        r = decode_report(bytes, bound);
+      } catch (const std::exception& e) {
+        FAIL() << "decode_report threw " << e.what() << " on mutant " << i;
+      }
+      ASSERT_LE(g_largest_alloc.load(), limit) << "mutant " << i;
+      if (r.has_value()) {
+        ++reports;
+        ASSERT_EQ(encode(*r), bytes) << "mutant " << i;
+      }
+    }
+
+    std::optional<Announcement> a;
+    g_largest_alloc = 0;
+    try {
+      a = decode_announcement(bytes);
+    } catch (const std::exception& e) {
+      FAIL() << "decode_announcement threw " << e.what() << " on mutant " << i;
+    }
+    ASSERT_LE(g_largest_alloc.load(), limit) << "mutant " << i;
+    if (a.has_value()) {
+      ++announcements;
+      ASSERT_EQ(encode(*a), bytes) << "mutant " << i;
+    }
+  }
+  // The mutants reach the accepting paths, not only the early rejects.
+  EXPECT_GT(reports, kMutants / 100);
+  EXPECT_GT(announcements, kMutants / 100);
 }
 
 }  // namespace

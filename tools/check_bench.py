@@ -116,11 +116,14 @@ GF = Bench(
     ])
 
 # -------------------------------------------------------------- engine
-# On a clearly multi-core runner the max-thread sweep must beat 1 thread
-# by this much: the lock-free result path's whole reason to exist. (The
-# 2x acceptance figure holds on dedicated hardware; 1.5 leaves margin for
-# shared CI vCPUs.)
-MIN_MULTICORE_SCALING = 1.5
+# On a runner with at least 4 hardware threads, the registered headline
+# sweep must run this much faster on 4 case threads than on 1, both
+# measured in the same micro_engine process. Its serial share is the
+# sink's per-case cost over a case's, about 0.7 us over 0.5 ms, so
+# Amdahl's bound at 4 threads is about 4; this is half of it. (The
+# sink-bound thread sweep is for reading only: on 4 shared vCPUs its
+# ratio measures the host's scheduler, not the engine.)
+MIN_HEADLINE_SPEEDUP = 2.0
 MULTICORE_THREADS = 4
 
 
@@ -136,7 +139,8 @@ def engine_one_thread_drop(base, fresh, tolerance):
 
 ENGINE = Bench(
     keys=("cases", "hardware_threads", "push_p50_ns", "push_p99_ns",
-          "threads", "speedup_max_vs_1", "reorder"),
+          "threads", "speedup_max_vs_1", "reorder", "headline",
+          "headline_speedup"),
     tolerance=0.10,
     rules=[
         Rule(lambda b, f, t: not f["threads"] and "empty thread sweep",
@@ -162,13 +166,13 @@ ENGINE = Bench(
              lambda d: d["threads"][0].update(
                  cases_per_s=d["threads"][0]["cases_per_s"] * 0.5)),
         Rule(lambda b, f, t: f["hardware_threads"] >= MULTICORE_THREADS
-             and f["speedup_max_vs_1"] < MIN_MULTICORE_SCALING
-             and (f"only {f['speedup_max_vs_1']:.2f}x scaling on "
-                  f"{f['hardware_threads']} hardware threads "
-                  f"(< {MIN_MULTICORE_SCALING}x): workers are serialising "
-                  "somewhere on the result path"),
+             and f["headline_speedup"] < MIN_HEADLINE_SPEEDUP
+             and (f"headline ran only {f['headline_speedup']:.2f}x faster "
+                  f"on {f['headline'][-1]['threads']} threads than on 1 "
+                  f"(< {MIN_HEADLINE_SPEEDUP}x): case threads are "
+                  "serialising somewhere"),
              lambda d: d.update(hardware_threads=MULTICORE_THREADS,
-                                speedup_max_vs_1=1.0)),
+                                headline_speedup=1.5)),
     ])
 
 # -------------------------------------------------------------- daemon

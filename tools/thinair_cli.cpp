@@ -113,14 +113,13 @@ int cmd_run(const tools::RunArgs& args) {
     stats = runtime::run_scenario(*scenario, options, sink);
   } catch (const std::exception& e) {
     // The engine funnels worker exceptions back to this thread; report
-    // them as an error instead of letting main() terminate.
-    std::fprintf(stderr, "run failed: %s\n", e.what());
-    return 1;
-  }
-  // The sink has flushed the stream, so a failed write (a full disk,
-  // say) shows here as a bad stream.
-  if (ndjson != nullptr && !*ndjson) {
-    std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
+    // them as an error instead of letting main() terminate. The sink
+    // stops the run at the first write the stream failed (a full disk,
+    // say), mid-run or in finish()'s flush.
+    if (ndjson != nullptr && !*ndjson)
+      std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
+    else
+      std::fprintf(stderr, "run failed: %s\n", e.what());
     return 1;
   }
 
