@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -61,20 +59,28 @@ void scalar_xor_into(const std::uint8_t* x, std::uint8_t* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] ^= x[i];
 }
 
+using AxpyFn = void (*)(std::uint8_t, const std::uint8_t*, std::uint8_t*,
+                        std::size_t);
+
 // The reference semantics of mad_multi: literally k repeated axpy passes.
-// Every other kernel must be byte-equivalent to this.
-void scalar_mad_multi(const std::uint8_t* c, std::size_t k,
-                      const std::uint8_t* x, std::uint8_t* const* ys,
-                      std::size_t n) {
-  for (std::size_t r = 0; r < k; ++r) scalar_axpy(c[r], x, ys[r], n);
+// Every fused kernel must be byte-equivalent to this. scalar, ssse3 and
+// avx2 run it over their own axpy: the protocol's payloads are at most
+// 256 bytes, too short for pshufb row fusion to pay for its 2*M nibble
+// tables.
+template <AxpyFn Axpy>
+void axpy_mad_multi(const std::uint8_t* c, std::size_t k,
+                    const std::uint8_t* x, std::uint8_t* const* ys,
+                    std::size_t n) {
+  for (std::size_t r = 0; r < k; ++r) Axpy(c[r], x, ys[r], n);
 }
 
 // The reference semantics of dot_multi: k repeated axpy passes into the
-// shared output. Every other kernel must be byte-equivalent to this.
-void scalar_dot_multi(const std::uint8_t* c, std::size_t k,
-                      const std::uint8_t* const* xs, std::uint8_t* y,
-                      std::size_t n) {
-  for (std::size_t r = 0; r < k; ++r) scalar_axpy(c[r], xs[r], y, n);
+// shared output.
+template <AxpyFn Axpy>
+void axpy_dot_multi(const std::uint8_t* c, std::size_t k,
+                    const std::uint8_t* const* xs, std::uint8_t* y,
+                    std::size_t n) {
+  for (std::size_t r = 0; r < k; ++r) Axpy(c[r], xs[r], y, n);
 }
 
 // Drops c == 0 rows from a fused block; returns the compacted row count.
@@ -234,8 +240,8 @@ void portable_dot_multi(const std::uint8_t* c, std::size_t k,
 }
 
 constexpr Kernel kScalar{"scalar", scalar_axpy, scalar_mul_row,
-                         scalar_xor_into, scalar_mad_multi,
-                         scalar_dot_multi};
+                         scalar_xor_into, axpy_mad_multi<scalar_axpy>,
+                         axpy_dot_multi<scalar_axpy>};
 constexpr Kernel kPortable{"portable", portable_axpy, portable_mul_row,
                            portable_xor_into, portable_mad_multi,
                            portable_dot_multi};
@@ -245,7 +251,7 @@ constexpr Kernel kPortable{"portable", portable_axpy, portable_mul_row,
 // tables give c * low_nibble and c * (high_nibble << 4); the product of a
 // full byte is their XOR (multiplication by c is linear over GF(2)).
 // `pshufb` performs 16 (SSSE3) or 2 x 16 (AVX2) of those lookups per
-// instruction.
+// instruction. These two kernels fuse no rows (see axpy_mad_multi).
 
 #ifdef THINAIR_GF_X86_SIMD
 
@@ -405,294 +411,11 @@ __attribute__((target("avx2"))) void avx2_xor_into(const std::uint8_t* x,
   ssse3_xor_into(x + i, y + i, n - i);
 }
 
-// Fused split-nibble accumulate. The live-row count is a template
-// parameter so the per-row lo/hi tables become register-resident locals
-// (fully for M <= 4, with modest spilling at M == 8); the runtime wrapper
-// compacts away zero rows and switches over the count. Work shared per
-// input vector: the x load and the two nibble extractions. Work per row:
-// two pshufb, two xor and the y load/store — the structure of ISA-L's
-// gf_Nvect_mad family.
-
-template <std::size_t M>
-__attribute__((target("ssse3"))) void ssse3_mad_rows(const std::uint8_t* cc,
-                                                     const std::uint8_t* x,
-                                                     std::uint8_t* const* yr,
-                                                     std::size_t n) {
-  __m128i lo[M], hi[M];
-  for (std::size_t r = 0; r < M; ++r) {
-    lo[r] =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.lo[cc[r]]));
-    hi[r] =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.hi[cc[r]]));
-  }
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    const __m128i vl = _mm_and_si128(v, mask);
-    const __m128i vh = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
-    for (std::size_t r = 0; r < M; ++r) {
-      const __m128i o =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(yr[r] + i));
-      const __m128i p = _mm_xor_si128(_mm_shuffle_epi8(lo[r], vl),
-                                      _mm_shuffle_epi8(hi[r], vh));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(yr[r] + i),
-                       _mm_xor_si128(o, p));
-    }
-  }
-  for (std::size_t r = 0; r < M; ++r)
-    scalar_axpy(cc[r], x + i, yr[r] + i, n - i);
-}
-
-template <std::size_t M>
-__attribute__((target("avx2"))) void avx2_mad_rows(const std::uint8_t* cc,
-                                                   const std::uint8_t* x,
-                                                   std::uint8_t* const* yr,
-                                                   std::size_t n) {
-  __m256i lo[M], hi[M];
-  for (std::size_t r = 0; r < M; ++r) {
-    lo[r] = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.lo[cc[r]])));
-    hi[r] = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.hi[cc[r]])));
-  }
-  const __m256i mask = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  // 64 bytes per iteration: at M == 8 the sixteen tables cannot all stay
-  // register-resident, so the compiler reloads spilled ones per row — two
-  // input vectors per pass amortise those reloads (and the loop overhead)
-  // over twice the bytes.
-  for (; i + 64 <= n; i += 64) {
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i + 32));
-    const __m256i vl0 = _mm256_and_si256(v0, mask);
-    const __m256i vh0 = _mm256_and_si256(_mm256_srli_epi64(v0, 4), mask);
-    const __m256i vl1 = _mm256_and_si256(v1, mask);
-    const __m256i vh1 = _mm256_and_si256(_mm256_srli_epi64(v1, 4), mask);
-    for (std::size_t r = 0; r < M; ++r) {
-      const __m256i o0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yr[r] + i));
-      const __m256i p0 = _mm256_xor_si256(_mm256_shuffle_epi8(lo[r], vl0),
-                                          _mm256_shuffle_epi8(hi[r], vh0));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(yr[r] + i),
-                          _mm256_xor_si256(o0, p0));
-      const __m256i o1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(yr[r] + i + 32));
-      const __m256i p1 = _mm256_xor_si256(_mm256_shuffle_epi8(lo[r], vl1),
-                                          _mm256_shuffle_epi8(hi[r], vh1));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(yr[r] + i + 32),
-                          _mm256_xor_si256(o1, p1));
-    }
-  }
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vl = _mm256_and_si256(v, mask);
-    const __m256i vh = _mm256_and_si256(_mm256_srli_epi64(v, 4), mask);
-    for (std::size_t r = 0; r < M; ++r) {
-      const __m256i o =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yr[r] + i));
-      const __m256i p = _mm256_xor_si256(_mm256_shuffle_epi8(lo[r], vl),
-                                         _mm256_shuffle_epi8(hi[r], vh));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(yr[r] + i),
-                          _mm256_xor_si256(o, p));
-    }
-  }
-  if (i < n) {
-    // 16-byte step plus scalar tail via the SSSE3 row kernel.
-    std::uint8_t* tail[M];
-    for (std::size_t r = 0; r < M; ++r) tail[r] = yr[r] + i;
-    ssse3_mad_rows<M>(cc, x + i, tail, n - i);
-  }
-}
-
-// Fused split-nibble gather, the mirror of the *_mad_rows family above
-// with input/output roles swapped: the live-input count is a template
-// parameter so the per-input lo/hi tables stay register-resident, the
-// accumulator vector is loaded and stored once per pass, and every input
-// vector costs two pshufb + two xor — the structure of ISA-L's
-// gf_vect_dot_prod family.
-
-template <std::size_t M>
-__attribute__((target("ssse3"))) void ssse3_dot_rows(
-    const std::uint8_t* cc, const std::uint8_t* const* xr, std::uint8_t* y,
-    std::size_t n) {
-  __m128i lo[M], hi[M];
-  for (std::size_t r = 0; r < M; ++r) {
-    lo[r] =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.lo[cc[r]]));
-    hi[r] =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.hi[cc[r]]));
-  }
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i acc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + i));
-    for (std::size_t r = 0; r < M; ++r) {
-      const __m128i v =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr[r] + i));
-      acc = _mm_xor_si128(acc, mul16(v, lo[r], hi[r], mask));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + i), acc);
-  }
-  for (std::size_t r = 0; r < M; ++r)
-    scalar_axpy(cc[r], xr[r] + i, y + i, n - i);
-}
-
-template <std::size_t M>
-__attribute__((target("avx2"))) void avx2_dot_rows(const std::uint8_t* cc,
-                                                   const std::uint8_t* const* xr,
-                                                   std::uint8_t* y,
-                                                   std::size_t n) {
-  __m256i lo[M], hi[M];
-  for (std::size_t r = 0; r < M; ++r) {
-    lo[r] = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.lo[cc[r]])));
-    hi[r] = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.hi[cc[r]])));
-  }
-  const __m256i mask = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  // 64 bytes per iteration for the same reason as avx2_mad_rows: at
-  // M == 8 the sixteen tables spill, and two accumulator streams amortise
-  // the reloads over twice the bytes.
-  for (; i + 64 <= n; i += 64) {
-    __m256i acc0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    __m256i acc1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i + 32));
-    for (std::size_t r = 0; r < M; ++r) {
-      const __m256i v0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xr[r] + i));
-      const __m256i v1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(xr[r] + i + 32));
-      acc0 = _mm256_xor_si256(acc0, mul32(v0, lo[r], hi[r], mask));
-      acc1 = _mm256_xor_si256(acc1, mul32(v1, lo[r], hi[r], mask));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i), acc0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i + 32), acc1);
-  }
-  for (; i + 32 <= n; i += 32) {
-    __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    for (std::size_t r = 0; r < M; ++r) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xr[r] + i));
-      acc = _mm256_xor_si256(acc, mul32(v, lo[r], hi[r], mask));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i), acc);
-  }
-  if (i < n) {
-    // 16-byte step plus scalar tail via the SSSE3 row kernel.
-    const std::uint8_t* tail[M];
-    for (std::size_t r = 0; r < M; ++r) tail[r] = xr[r] + i;
-    ssse3_dot_rows<M>(cc, tail, y + i, n - i);
-  }
-}
-
-using MadRowsFn = void (*)(const std::uint8_t*, const std::uint8_t*,
-                           std::uint8_t* const*, std::size_t);
-using DotRowsFn = void (*)(const std::uint8_t*, const std::uint8_t* const*,
-                           std::uint8_t*, std::size_t);
-
-// Shared tile-compact-dispatch wrapper behind every SIMD mad_multi:
-// split the batch into kMaxFusedRows blocks, drop zero rows, and jump to
-// the width-specialised row kernel for the live count.
-void tiled_mad_multi(const MadRowsFn* rows_fns, const std::uint8_t* c,
-                     std::size_t k, const std::uint8_t* x,
-                     std::uint8_t* const* ys, std::size_t n) {
-  for (std::size_t r0 = 0; r0 < k; r0 += kMaxFusedRows) {
-    const std::size_t kb = std::min(kMaxFusedRows, k - r0);
-    std::uint8_t cc[kMaxFusedRows];
-    std::uint8_t* yr[kMaxFusedRows];
-    const std::size_t m = compact_rows(c + r0, kb, ys + r0, cc, yr);
-    if (m != 0) rows_fns[m - 1](cc, x, yr, n);
-  }
-}
-
-// The same wrapper for the gather direction.
-void tiled_dot_multi(const DotRowsFn* rows_fns, const std::uint8_t* c,
-                     std::size_t k, const std::uint8_t* const* xs,
-                     std::uint8_t* y, std::size_t n) {
-  for (std::size_t r0 = 0; r0 < k; r0 += kMaxFusedRows) {
-    const std::size_t kb = std::min(kMaxFusedRows, k - r0);
-    std::uint8_t cc[kMaxFusedRows];
-    const std::uint8_t* xr[kMaxFusedRows];
-    const std::size_t m = compact_inputs(c + r0, kb, xs + r0, cc, xr);
-    if (m != 0) rows_fns[m - 1](cc, xr, y, n);
-  }
-}
-
-// Below ~half a KiB the fused pshufb row kernels lose: at M > 4 their
-// 2*M nibble tables spill, and the per-call spill/setup outweighs the
-// shared-input savings (the paper's 100 B payloads hit this on every
-// round). Repeated axpy is byte-equivalent by contract, so fall back.
-constexpr std::size_t kPshufbFusedMinBytes = 512;
-
-void ssse3_mad_multi(const std::uint8_t* c, std::size_t k,
-                     const std::uint8_t* x, std::uint8_t* const* ys,
-                     std::size_t n) {
-  if (n < kPshufbFusedMinBytes) {
-    for (std::size_t r = 0; r < k; ++r) ssse3_axpy(c[r], x, ys[r], n);
-    return;
-  }
-  static constexpr MadRowsFn kRows[kMaxFusedRows] = {
-      ssse3_mad_rows<1>, ssse3_mad_rows<2>, ssse3_mad_rows<3>,
-      ssse3_mad_rows<4>, ssse3_mad_rows<5>, ssse3_mad_rows<6>,
-      ssse3_mad_rows<7>, ssse3_mad_rows<8>};
-  tiled_mad_multi(kRows, c, k, x, ys, n);
-}
-
-void avx2_mad_multi(const std::uint8_t* c, std::size_t k,
-                    const std::uint8_t* x, std::uint8_t* const* ys,
-                    std::size_t n) {
-  if (n < kPshufbFusedMinBytes) {
-    for (std::size_t r = 0; r < k; ++r) avx2_axpy(c[r], x, ys[r], n);
-    return;
-  }
-  static constexpr MadRowsFn kRows[kMaxFusedRows] = {
-      avx2_mad_rows<1>, avx2_mad_rows<2>, avx2_mad_rows<3>,
-      avx2_mad_rows<4>, avx2_mad_rows<5>, avx2_mad_rows<6>,
-      avx2_mad_rows<7>, avx2_mad_rows<8>};
-  tiled_mad_multi(kRows, c, k, x, ys, n);
-}
-
-// The gather direction shares mad_multi's small-payload policy: below
-// ~half a KiB the 2*M nibble tables spill and repeated axpy wins.
-void ssse3_dot_multi(const std::uint8_t* c, std::size_t k,
-                     const std::uint8_t* const* xs, std::uint8_t* y,
-                     std::size_t n) {
-  if (n < kPshufbFusedMinBytes) {
-    for (std::size_t r = 0; r < k; ++r) ssse3_axpy(c[r], xs[r], y, n);
-    return;
-  }
-  static constexpr DotRowsFn kRows[kMaxFusedRows] = {
-      ssse3_dot_rows<1>, ssse3_dot_rows<2>, ssse3_dot_rows<3>,
-      ssse3_dot_rows<4>, ssse3_dot_rows<5>, ssse3_dot_rows<6>,
-      ssse3_dot_rows<7>, ssse3_dot_rows<8>};
-  tiled_dot_multi(kRows, c, k, xs, y, n);
-}
-
-void avx2_dot_multi(const std::uint8_t* c, std::size_t k,
-                    const std::uint8_t* const* xs, std::uint8_t* y,
-                    std::size_t n) {
-  if (n < kPshufbFusedMinBytes) {
-    for (std::size_t r = 0; r < k; ++r) avx2_axpy(c[r], xs[r], y, n);
-    return;
-  }
-  static constexpr DotRowsFn kRows[kMaxFusedRows] = {
-      avx2_dot_rows<1>, avx2_dot_rows<2>, avx2_dot_rows<3>,
-      avx2_dot_rows<4>, avx2_dot_rows<5>, avx2_dot_rows<6>,
-      avx2_dot_rows<7>, avx2_dot_rows<8>};
-  tiled_dot_multi(kRows, c, k, xs, y, n);
-}
-
 constexpr Kernel kSsse3{"ssse3", ssse3_axpy, ssse3_mul_row, ssse3_xor_into,
-                        ssse3_mad_multi, ssse3_dot_multi};
+                        axpy_mad_multi<ssse3_axpy>,
+                        axpy_dot_multi<ssse3_axpy>};
 constexpr Kernel kAvx2{"avx2", avx2_axpy, avx2_mul_row, avx2_xor_into,
-                       avx2_mad_multi, avx2_dot_multi};
+                       axpy_mad_multi<avx2_axpy>, axpy_dot_multi<avx2_axpy>};
 
 // ------------------------------------------------------- GFNI + AVX-512
 // gf2p8affineqb applies an arbitrary 8x8 GF(2) bit matrix to every byte
@@ -700,7 +423,7 @@ constexpr Kernel kAvx2{"avx2", avx2_axpy, avx2_mul_row, avx2_xor_into,
 // matrix per coefficient replaces the 32 bytes of split-nibble tables —
 // a full GF(2^8) multiply in ONE instruction per 64 input bytes, and
 // with AVX-512's 32 zmm registers all kMaxFusedRows matrices of a fused
-// block stay register-resident (the pshufb kernels spill at M == 8).
+// block stay register-resident.
 //
 // Matrix layout (Intel SDM affine_byte): qword byte (7 - i) holds the
 // row computing output bit i; its bit k must be bit i of c * alpha^k,
@@ -800,6 +523,41 @@ THINAIR_GFNI_TARGET void gfni_xor_into(const std::uint8_t* x, std::uint8_t* y,
   }
 }
 
+using MadRowsFn = void (*)(const std::uint8_t*, const std::uint8_t*,
+                           std::uint8_t* const*, std::size_t);
+using DotRowsFn = void (*)(const std::uint8_t*, const std::uint8_t* const*,
+                           std::uint8_t*, std::size_t);
+
+// Tile-compact-dispatch wrapper behind gfni's mad_multi: split the batch
+// into kMaxFusedRows blocks, drop zero rows, and jump to the
+// width-specialised row kernel for the live count.
+void tiled_mad_multi(const MadRowsFn* rows_fns, const std::uint8_t* c,
+                     std::size_t k, const std::uint8_t* x,
+                     std::uint8_t* const* ys, std::size_t n) {
+  for (std::size_t r0 = 0; r0 < k; r0 += kMaxFusedRows) {
+    const std::size_t kb = std::min(kMaxFusedRows, k - r0);
+    std::uint8_t cc[kMaxFusedRows];
+    std::uint8_t* yr[kMaxFusedRows];
+    const std::size_t m = compact_rows(c + r0, kb, ys + r0, cc, yr);
+    if (m != 0) rows_fns[m - 1](cc, x, yr, n);
+  }
+}
+
+// The same wrapper for the gather direction.
+void tiled_dot_multi(const DotRowsFn* rows_fns, const std::uint8_t* c,
+                     std::size_t k, const std::uint8_t* const* xs,
+                     std::uint8_t* y, std::size_t n) {
+  for (std::size_t r0 = 0; r0 < k; r0 += kMaxFusedRows) {
+    const std::size_t kb = std::min(kMaxFusedRows, k - r0);
+    std::uint8_t cc[kMaxFusedRows];
+    const std::uint8_t* xr[kMaxFusedRows];
+    const std::size_t m = compact_inputs(c + r0, kb, xs + r0, cc, xr);
+    if (m != 0) rows_fns[m - 1](cc, xr, y, n);
+  }
+}
+
+// The live-row count is a template parameter so the per-row matrices
+// become register-resident locals; the wrapper above switches over it.
 template <std::size_t M>
 THINAIR_GFNI_TARGET void gfni_mad_rows(const std::uint8_t* cc,
                                        const std::uint8_t* x,
@@ -849,8 +607,8 @@ THINAIR_GFNI_TARGET void gfni_mad_rows(const std::uint8_t* cc,
 void gfni_mad_multi(const std::uint8_t* c, std::size_t k,
                     const std::uint8_t* x, std::uint8_t* const* ys,
                     std::size_t n) {
-  // No small-n fallback: one 64-bit matrix per row means no spills and
-  // near-zero setup, so fusion wins at every size.
+  // One 64-bit matrix per row means no spills and near-zero setup, so
+  // fusion wins at every size, the protocol's 100-byte payloads included.
   static constexpr MadRowsFn kRows[kMaxFusedRows] = {
       gfni_mad_rows<1>, gfni_mad_rows<2>, gfni_mad_rows<3>,
       gfni_mad_rows<4>, gfni_mad_rows<5>, gfni_mad_rows<6>,
@@ -903,7 +661,7 @@ THINAIR_GFNI_TARGET void gfni_dot_rows(const std::uint8_t* cc,
 void gfni_dot_multi(const std::uint8_t* c, std::size_t k,
                     const std::uint8_t* const* xs, std::uint8_t* y,
                     std::size_t n) {
-  // As with gfni_mad_multi: no small-n fallback needed.
+  // As with gfni_mad_multi: fusion wins at every size.
   static constexpr DotRowsFn kRows[kMaxFusedRows] = {
       gfni_dot_rows<1>, gfni_dot_rows<2>, gfni_dot_rows<3>,
       gfni_dot_rows<4>, gfni_dot_rows<5>, gfni_dot_rows<6>,
@@ -953,18 +711,6 @@ const Kernel* best_kernel() {
   return s != nullptr ? s : &kPortable;
 }
 
-const Kernel* resolve_default() {
-  if (const char* env = std::getenv("THINAIR_GF_KERNEL");
-      env != nullptr && *env != '\0' && std::string_view(env) != "auto") {
-    if (const Kernel* k = find_kernel(env)) return k;
-    std::fprintf(stderr,
-                 "thinair: THINAIR_GF_KERNEL=%s is unknown or unsupported "
-                 "on this CPU; using %s\n",
-                 env, best_kernel()->name);
-  }
-  return best_kernel();
-}
-
 // The dispatch singleton. Everything reachable from it is immutable
 // after first use — the kernel vtables are constinit-style statics and
 // kernel_list() is a magic static — so the only mutable state in the
@@ -975,7 +721,7 @@ const Kernel* resolve_default() {
 // allocation rules assume when they exempt this file; the thread-safety
 // contract is documented on set_active_kernel() in the header.
 std::atomic<const Kernel*>& active_slot() {
-  static std::atomic<const Kernel*> slot{resolve_default()};
+  static std::atomic<const Kernel*> slot{best_kernel()};
   return slot;
 }
 

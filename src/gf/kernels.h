@@ -23,15 +23,17 @@
 // SWAR (bit-sliced xtime) kernel, SSSE3/AVX2 `pshufb` split-nibble
 // kernels in the style of ISA-L's Reed-Solomon routines, and a
 // GFNI+AVX-512 kernel (`gf2p8affineqb`: a full GF(2^8) multiply per byte
-// lane from one 8x8 bit matrix per coefficient). The active kernel is
-// chosen once by CPUID dispatch and can be overridden — for testing and
-// for the cross-kernel determinism checks — with the THINAIR_GF_KERNEL
-// environment variable or set_active_kernel().
+// lane from one 8x8 bit matrix per coefficient). Only portable and gfni
+// fuse rows; the others run mad_multi/dot_multi as repeated axpy. The
+// active kernel is chosen once by CPUID dispatch; set_active_kernel() is
+// the tests' seam for running the same computation on every kernel.
 //
 // Contract: all kernels compute the exact same field arithmetic, so their
 // output bytes are identical for identical inputs (GF(2^8) is exact —
 // there is no rounding to diverge on). The differential test in
-// tests/kernel_test.cpp and the CI cross-kernel cmp enforce this.
+// tests/kernel_test.cpp and the golden suite in
+// tests/golden_ndjson_test.cpp (fig1 and every example spec under every
+// registered kernel) enforce this.
 //
 // Aliasing: x and y must either not overlap or be exactly equal
 // (mul_row's in-place scale). Partial overlap is undefined. For mad_multi
@@ -49,8 +51,8 @@ namespace thinair::gf {
 
 /// Rows one mad_multi pass fuses at most. Larger batches are tiled into
 /// blocks of this size (by the kernels themselves and by gf::encode); the
-/// value is chosen so the AVX2 kernel's per-row nibble tables still fit
-/// the register file with modest spilling.
+/// value is gfni's register budget: eight 64-bit affine matrices plus two
+/// accumulator streams stay resident in AVX-512's 32 zmm registers.
 inline constexpr std::size_t kMaxFusedRows = 8;
 
 /// One retargetable implementation of the bulk primitives.
@@ -62,14 +64,14 @@ struct Kernel {
                   std::size_t n);
   void (*xor_into)(const std::uint8_t* x, std::uint8_t* y, std::size_t n);
   /// ys[r][i] ^= c[r] * x[i] for every r < k — byte-exact equal to k
-  /// repeated axpy calls, but streaming x once per kMaxFusedRows outputs.
-  /// Any k is accepted (tiled internally); c[r] == 0 rows are skipped.
+  /// repeated axpy calls; the fusing kernels stream x once per
+  /// kMaxFusedRows outputs. Any k is accepted; c[r] == 0 rows are skipped.
   void (*mad_multi)(const std::uint8_t* c, std::size_t k,
                     const std::uint8_t* x, std::uint8_t* const* ys,
                     std::size_t n);
   /// y[i] ^= sum over r < k of c[r] * xs[r][i] — byte-exact equal to k
-  /// repeated axpy calls into the shared output, but loading/storing y
-  /// once per kMaxFusedRows inputs. Any k is accepted (tiled internally);
+  /// repeated axpy calls into the shared output; the fusing kernels load
+  /// and store y once per kMaxFusedRows inputs. Any k is accepted;
   /// c[r] == 0 inputs are skipped and never dereferenced.
   void (*dot_multi)(const std::uint8_t* c, std::size_t k,
                     const std::uint8_t* const* xs, std::uint8_t* y,
@@ -90,9 +92,9 @@ struct Kernel {
 /// Every kernel usable on this machine, scalar first.
 [[nodiscard]] std::span<const Kernel* const> all_kernels();
 
-/// The kernel behind gf::axpy / gf::mul_row / gf::xor_into. Resolution
-/// order: set_active_kernel() override, then THINAIR_GF_KERNEL, then the
-/// best CPUID-supported kernel.
+/// The kernel behind gf::axpy / gf::mul_row / gf::xor_into and the
+/// batches below: the best CPUID-supported kernel unless
+/// set_active_kernel() chose another.
 [[nodiscard]] const Kernel& active_kernel();
 
 /// Select by name ("auto" restores CPUID dispatch). Returns false — and
@@ -100,7 +102,7 @@ struct Kernel {
 /// kernel this CPU cannot run. Thread-safe (the selection is one relaxed
 /// atomic slot; kernel tables themselves are immutable after init), but
 /// switching mid-computation interleaves kernels across calls — callers
-/// sequence selection before spawning workers, as the CLI does.
+/// sequence selection before spawning workers, as the tests do.
 [[nodiscard]] bool set_active_kernel(std::string_view name);
 
 /// y[i] = c * x[i] over n bytes through the active kernel (x == y allowed).
@@ -112,20 +114,6 @@ inline void mul_row(GF256 c, const std::uint8_t* x, std::uint8_t* y,
 /// y[i] ^= x[i] over n bytes through the active kernel.
 inline void xor_into(const std::uint8_t* x, std::uint8_t* y, std::size_t n) {
   active_kernel().xor_into(x, y, n);
-}
-
-/// ys[r][i] ^= c[r] * x[i] for every r < k through the active kernel.
-inline void mad_multi(const std::uint8_t* c, std::size_t k,
-                      const std::uint8_t* x, std::uint8_t* const* ys,
-                      std::size_t n) {
-  active_kernel().mad_multi(c, k, x, ys, n);
-}
-
-/// y[i] ^= sum_r c[r] * xs[r][i] through the active kernel.
-inline void dot_multi(const std::uint8_t* c, std::size_t k,
-                      const std::uint8_t* const* xs, std::uint8_t* y,
-                      std::size_t n) {
-  active_kernel().dot_multi(c, k, xs, y, n);
 }
 
 /// Batches (coefficient, output-row) pairs against one shared input and

@@ -138,6 +138,17 @@ void NodeSession::on_tick(double now_s) {
     outbox_.push_back(inflight_wire_);
     last_send_s_ = now_s;
   }
+  // A member that stopped (failed, crashed, or hostile and silent) leaves
+  // the others waiting for a relay that never comes, and their probes
+  // keep the hub session alive. Give up after max_retries probe periods
+  // of silence.
+  if (state_ == State::kRunning &&
+      now_s - last_rx_s_ >=
+          config_.probe_s * static_cast<double>(config_.max_retries)) {
+    fail("nothing from the hub for max_retries probe periods: a member "
+         "stopped");
+    return;
+  }
   // Join probe: the hub sends kReady exactly once per member, and that one
   // datagram has no ARQ of its own. If it is lost, re-send the kAttach —
   // the hub treats a repeat attach as an idempotent replay and re-sends

@@ -40,6 +40,19 @@
 // arrives, and a joining node whose attach was acked re-sends the attach
 // on the probe timer — the hub replays kAttachOk/kReady idempotently — so
 // a lost kReady cannot wedge the join.
+//
+// Hostile members. Another roster member may send any control payload:
+// reports, kEndOfX markers, y- and s-announcements and z-payloads that
+// are truncated, extended, bit-flipped, carry spliced counts or have the
+// wrong size. Whatever it sends, this session ends — done, or failed()
+// with a non-empty error() — and on_datagram and on_tick never throw. A
+// member that stops sending (failed, crashed, or hostile and silent)
+// ends the others through fail() once a running session has heard
+// nothing from the hub for max_retries probe periods. The keys are not
+// compared: a member that lies about what it received or announced can
+// make them differ, which is what the paper's authentication (Sec. 2)
+// is for. NetdLoop.HostileMemberCannotCrashOrWedgeHonestOnes checks this
+// contract over a seeded set of mutants.
 
 #include <cstdint>
 #include <deque>
@@ -66,7 +79,9 @@ struct NodeConfig {
   std::uint64_t payload_seed = 7;  // this node's x-payload stream
   double rto_s = 0.05;     // ARQ retransmit timeout
   double probe_s = 0.25;   // idle relay-probe period
-  std::size_t max_retries = 200;  // ARQ attempts before giving up
+  // ARQ attempts before giving up; also, in probe periods, how long a
+  // running session waits for the hub to send anything.
+  std::size_t max_retries = 200;
 };
 
 class NodeSession {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # `thinair run` through the real binary: three cut-down sweeps must give
 # the expected line counts and byte-identical NDJSON at --threads 1 and
-# --threads 4, the retired distributed-sweep surface must be rejected
-# with the usage text, an oversized spec must fail at compile time, and
-# output that cannot be written must fail the run.
+# --threads 4, the retired distributed-sweep and kernel-override surfaces
+# must be rejected with the usage text, an oversized spec must fail at
+# compile time, and output that cannot be written must fail the run.
 #
 #   usage: cli_run_smoke.sh /path/to/thinair
 set -u
@@ -70,6 +70,9 @@ expect_exit() {
 expect_exit 2 "usage: $THINAIR list" run fig1 --workers 2
 expect_exit 2 "usage: $THINAIR list" sweep-master fig1
 expect_exit 2 "usage: $THINAIR list" sweep-worker
+
+# CPUID dispatch is the only kernel selector: the override flag is gone.
+expect_exit 2 "usage: $THINAIR list" run fig1 --kernel scalar
 
 # 567 cases x 20000 repeats would be built as 11.3M explicit points; the
 # compiler rejects the plan before any is built.

@@ -1,17 +1,19 @@
 // Golden NDJSON regression suite: the kernel-independence contract as a
-// ctest gate, not just a CI cmp step.
+// ctest gate.
 //
 // The runtime promises that a scenario's full NDJSON stream is a pure
 // function of (spec, master seed): independent of the GF(2^8) kernel,
-// the thread count, and the order in which cases finish. The CI workflow
-// checks that property by cmp-ing runs against each other; this suite
-// pins it harder, as SHA-256 digests of the complete fig1/fig2/headline
+// the thread count, and the order in which cases finish. This suite pins
+// that property as SHA-256 digests of the complete fig1/fig2/headline
 // runs and of the example spec files, two of which reach testbed paths
-// those three miss (explicit off-centre coordinates, jammers off), and
-// three of which are the pool, rotation and estimator ablations. Any change
-// to the simulation's bytes — an estimator tweak, a kernel bug, an
-// accidental reorder — fails here first, naming the scenario and both
-// digests.
+// those three miss (explicit off-centre coordinates, jammers off), three
+// of which are the pool, rotation and estimator ablations, and one of
+// which crosses the i.i.d. channel with the empirical estimators. fig1
+// and every example spec run under every registered kernel, so the
+// encode (mad_multi) and decode/repair (dot_multi) directions are checked
+// on each. Any change to the simulation's bytes — an estimator tweak, a
+// kernel bug, an accidental reorder — fails here first, naming the
+// scenario and both digests.
 //
 // Refreshing the goldens after an INTENTIONAL result change (and only
 // then — see the "Known deviation" section of the README for the bar a
@@ -65,7 +67,10 @@ constexpr Golden kGolden[] = {
 // link table: the table must reproduce every erasure probability bit for
 // bit, including at off-centre coordinates and with the jammers off. The
 // three ablation files were recorded with the library as it stood while
-// the ablation programs they replace still existed.
+// the ablation programs they replace still existed. fig2_iid.toml was
+// recorded with the library as it stood before the SSSE3/AVX2 fused row
+// kernels were deleted, and matches sha256sum of that build's
+// `thinair run --spec examples/specs/fig2_iid.toml --seed 42` output.
 constexpr Golden kSpecGolden[] = {
     {"explicit_positions.toml",
      "596640143876feee1976fa360c6c52da07a85b8dc7b51f2c25c3d435b657854b"},
@@ -77,6 +82,8 @@ constexpr Golden kSpecGolden[] = {
      "f186ef8c81deb0a8734edac1655826a4bb69a605c67840660bf905b672967bb3"},
     {"ablation_rotation.toml",
      "5ce21f50d1091d0dd3cbc39eb515850770ceedc7c9d53db62a3854511f912123"},
+    {"fig2_iid.toml",
+     "765402b82800add51a82528bc568c4706a8c7d8f1170e4576fc1ef9d38c9d457"},
 };
 
 // Restores the dispatched kernel after a test that overrides it.
@@ -173,13 +180,21 @@ TEST(GoldenNdjson, HeadlineFullRun) {
                 "dispatched, 5 threads");
 }
 
+// Every example spec crosses every registered kernel and two thread
+// counts, as fig1 does above.
 TEST(GoldenNdjson, ExampleSpecFullRuns) {
-  for (const Golden& golden : kSpecGolden) {
-    expect_golden(golden, run_spec_file_ndjson(golden.scenario, 1),
-                  "dispatched, 1 thread");
-    if (print_goldens_requested()) continue;
-    expect_golden(golden, run_spec_file_ndjson(golden.scenario, 5),
-                  "dispatched, 5 threads");
+  KernelGuard guard;
+  for (const gf::Kernel* k : gf::all_kernels()) {
+    SCOPED_TRACE(k->name);
+    ASSERT_TRUE(gf::set_active_kernel(k->name));
+    for (const Golden& golden : kSpecGolden) {
+      expect_golden(golden, run_spec_file_ndjson(golden.scenario, 1),
+                    std::string(k->name) + ", 1 thread");
+      if (print_goldens_requested()) continue;
+      expect_golden(golden, run_spec_file_ndjson(golden.scenario, 5),
+                    std::string(k->name) + ", 5 threads");
+    }
+    if (print_goldens_requested()) return;  // one print is enough
   }
 }
 

@@ -477,8 +477,9 @@ TEST(Combination, ArenaApplyMatchesVectorApply) {
 }
 
 // End-to-end byte-identity: a full sweep through medium, sessions, pool,
-// phases and sink must emit identical NDJSON under every kernel. This is
-// the in-process version of the CI cross-kernel cmp.
+// phases and sink must emit identical NDJSON under every kernel. A short
+// fig1 at another seed than the golden suite's, which pins the full runs
+// of fig1 and every example spec under every kernel.
 TEST(Kernels, SweepNdjsonIsKernelInvariant) {
   runtime::register_builtin_scenarios();
   const runtime::Scenario* scenario =

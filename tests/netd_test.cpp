@@ -2,7 +2,8 @@
 // SessionHub with no sockets involved. Covers multi-party key equality,
 // cross-run determinism, keys pinned to a recorded digest, heavy loss,
 // relay loss + kNack recovery, the eavesdropper attach, roster-size
-// checks, idle expiry through the on_tick scan, and the hub counters.
+// checks, idle expiry through the on_tick scan, the hub counters, and a
+// hostile member whose control payloads arrive mutated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "channel/rng.h"
+#include "fuzz_mutate.h"
 #include "netd/hub.h"
 #include "netd/node_session.h"
 #include "netd/wire.h"
@@ -30,8 +33,9 @@ namespace {
 
 // Drives N NodeSessions against one hub on a shared fake clock. Datagrams
 // flow synchronously; the optional drop hooks simulate UDP loss on either
-// direction so the ARQ / kNack machinery actually has work to do, and the
-// copy hooks repeat client datagrams, at once or stale.
+// direction so the ARQ / kNack machinery actually has work to do, the
+// copy hooks repeat client datagrams, at once or stale, and the rewrite
+// hook lets a test tamper with what a client sends.
 class LoopHarness {
  public:
   explicit LoopHarness(HubConfig config) : hub(std::move(config)) {}
@@ -41,20 +45,28 @@ class LoopHarness {
     nodes_.push_back(std::make_unique<NodeSession>(config));
   }
 
-  // Returns true when every node reached kDone before `deadline_s` of
-  // virtual time elapsed.
-  bool run(double deadline_s = 600.0, double dt = 0.02) {
+  // Returns true when every node reached kDone before 600 s of virtual
+  // time elapsed; each failed node adds a test failure.
+  bool run() {
+    run_until_ended();
+    for (const auto& n : nodes_)
+      if (n->failed()) ADD_FAILURE() << "node failed: " << n->error();
+    return all_done();
+  }
+
+  // Returns true when every node but the one at index `skip` has ended,
+  // done or failed, before 600 s of virtual time elapsed.
+  bool run_until_ended(std::size_t skip = SIZE_MAX) {
+    constexpr double kDeadlineS = 600.0, kDt = 0.02;
     for (auto& n : nodes_) n->start(now_);
-    while (now_ < deadline_s) {
+    while (now_ < kDeadlineS) {
       while (step()) {
       }
-      if (all_done()) return true;
-      for (const auto& n : nodes_)
-        if (n->failed()) {
-          ADD_FAILURE() << "node failed: " << n->error();
-          return false;
-        }
-      now_ += dt;
+      bool ended = true;
+      for (std::size_t i = 0; i < nodes_.size(); ++i)
+        ended &= i == skip || nodes_[i]->done() || nodes_[i]->failed();
+      if (ended) return true;
+      now_ += kDt;
       for (auto& n : nodes_) n->on_tick(now_);
       std::vector<Outgoing> out;
       hub.on_tick(now_, out);
@@ -78,6 +90,8 @@ class LoopHarness {
   // one).
   std::function<bool(const std::vector<std::uint8_t>&)> duplicate_to_hub;
   std::function<bool(const std::vector<std::uint8_t>&)> hold_to_hub;
+  // Called on every client datagram before the drop hook; may rewrite it.
+  std::function<void(std::vector<std::uint8_t>&)> rewrite_to_hub;
 
  private:
   bool step() {
@@ -87,6 +101,7 @@ class LoopHarness {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       while (nodes_[i]->poll_datagram(dgram)) {
         any = true;
+        if (rewrite_to_hub) rewrite_to_hub(dgram);
         if (drop_to_hub && drop_to_hub(dgram)) continue;
         to_hub(dgram);
         if (duplicate_to_hub && duplicate_to_hub(dgram)) to_hub(dgram);
@@ -381,6 +396,118 @@ TEST(NetdNode, HostileControlPayloadsFailTheSessionNotTheProcess) {
   EXPECT_TRUE(bob.failed());
   EXPECT_NE(bob.error().find("pool too large"), std::string::npos)
       << bob.error();
+}
+
+// Applies `edit` to every kCtrl frame in a datagram `node` sent, keeping
+// the datagram's framing.
+template <typename Edit>
+void edit_ctrl_frames(std::vector<std::uint8_t>& dgram, std::uint16_t node,
+                      Edit edit) {
+  DecodeAllResult decoded = decode_all(dgram);
+  if (decoded.frames.empty() || decoded.frames.front().header.node != node)
+    return;
+  std::vector<std::uint8_t> out;
+  for (Frame& f : decoded.frames) {
+    if (f.header.type == static_cast<std::uint8_t>(FrameType::kCtrl)) edit(f);
+    encode_into(f, out);
+  }
+  if (out.size() <= kMaxDatagram) dgram = std::move(out);
+}
+
+// Rewrites the kCtrl payloads of one member's datagrams to the hub with
+// seeded mutations (test::mutate): its reports, kEndOfX markers, y- and
+// s-announcements and z-payloads. Headers and stream seqs stay intact, so
+// the hub accepts and relays the mutants, and the ARQ works as usual: the
+// mutation of a frame depends only on the seed and the frame's stream
+// seq, so a retransmit carries the same bytes. Each frame is mutated with
+// probability 1/one_in, so a session can fail at any of its control
+// frames, or finish with mutants that still decode.
+struct HostileMember {
+  std::uint16_t node;
+  std::uint64_t seed;
+  std::uint64_t one_in;
+  std::map<WirePhase, std::size_t>* mutated;  // frames, by phase
+
+  void operator()(std::vector<std::uint8_t>& dgram) const {
+    edit_ctrl_frames(dgram, node, [this](Frame& f) {
+      std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + f.header.aux);
+      if (rng() % one_in != 0) return;
+      for (std::size_t k = 1 + rng() % 3; k > 0; --k)
+        test::mutate(f.payload, rng);
+      ++(*mutated)[static_cast<WirePhase>(f.header.phase)];
+    });
+  }
+};
+
+// NodeSession's contract with a hostile roster member (node_session.h):
+// whatever control payloads one member sends, every other member ends
+// before the harness deadline, with its secret or through fail() with a
+// message, and none throws out of on_datagram or on_tick. Keys are not
+// compared: a member that lies about what it received or announced can
+// make them differ, which is what the paper's Sec. 2 authentication is
+// for.
+TEST(NetdLoop, HostileMemberCannotCrashOrWedgeHonestOnes) {
+  constexpr std::uint64_t kSeeds = 1000;
+  constexpr double kLoss[] = {0.2, 0.4, 0.6};
+  std::map<WirePhase, std::size_t> mutated;
+  std::size_t honest = 0, honest_failed = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const auto members = static_cast<std::uint16_t>(2 + seed % 3);
+    const auto hostile = static_cast<std::uint16_t>((seed / 3) % members);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                 std::to_string(members) + " members, node " +
+                 std::to_string(hostile) + " hostile");
+    HubConfig hc;
+    hc.loss_p = kLoss[(seed / 7) % 3];
+    hc.seed = seed;
+    LoopHarness h{hc};
+    for (std::uint16_t id = 0; id < members; ++id)
+      h.add_node(make_node(id, members));
+    const std::uint64_t one_in = std::uint64_t{1} << (seed % 4);  // 1..8
+    h.rewrite_to_hub = HostileMember{hostile, seed, one_in, &mutated};
+    bool ended = false;
+    EXPECT_NO_THROW(ended = h.run_until_ended(hostile));
+    EXPECT_TRUE(ended) << "an honest member is still waiting";
+    for (std::uint16_t id = 0; id < members; ++id) {
+      if (id == hostile) continue;
+      const NodeSession& node = h.node(id);
+      ++honest;
+      if (node.failed()) {
+        ++honest_failed;
+        EXPECT_FALSE(node.error().empty()) << "node " << id;
+      } else {
+        EXPECT_TRUE(node.done()) << "node " << id;
+      }
+    }
+  }
+  // Every kind of control payload was mutated, and the mutants reached
+  // both outcomes.
+  for (const WirePhase phase :
+       {WirePhase::kReport, WirePhase::kEndOfX, WirePhase::kYAnnouncement,
+        WirePhase::kZCoded, WirePhase::kSAnnouncement})
+    EXPECT_GT(mutated[phase], 0u) << "phase " << static_cast<int>(phase);
+  EXPECT_GT(honest_failed, 0u);
+  EXPECT_LT(honest_failed, honest);
+}
+
+// Regression literal from the test above (its seed 5: four members, node
+// 1 hostile). Round 0's Alice fails on a report she cannot decode, and
+// the other receivers used to wait for her y-announcement for ever,
+// their relay probes keeping the hub session alive.
+TEST(NetdLoop, MemberThatStopsEndsTheOthers) {
+  LoopHarness h{HubConfig{}};
+  for (std::uint16_t id = 0; id < 3; ++id) h.add_node(make_node(id, 3));
+  h.rewrite_to_hub = [](std::vector<std::uint8_t>& dgram) {
+    edit_ctrl_frames(dgram, 2, [](Frame& f) {
+      if (f.header.phase == static_cast<std::uint8_t>(WirePhase::kReport))
+        f.payload.clear();
+    });
+  };
+  ASSERT_TRUE(h.run_until_ended(2));
+  EXPECT_EQ(h.node(0).error(), "undecodable reception report");
+  ASSERT_TRUE(h.node(1).failed());
+  EXPECT_NE(h.node(1).error().find("a member stopped"), std::string::npos)
+      << h.node(1).error();
 }
 
 TEST(NetdLoop, SurvivesLostReady) {

@@ -8,12 +8,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <iterator>
 #include <limits>
 #include <new>
 #include <optional>
 #include <random>
 #include <vector>
+
+#include "fuzz_mutate.h"
 
 // The largest single request made of the global operator new (replaced
 // at the bottom of the file) since the test last reset it.
@@ -168,38 +169,6 @@ std::vector<Payload> fuzz_corpus() {
   return corpus;
 }
 
-// One seeded mutation: truncate, extend, flip bits, or splice a count
-// (an extreme or random 16- or 32-bit value) over some offset.
-void mutate(Payload& bytes, std::mt19937_64& rng) {
-  switch (rng() % 4) {
-    case 0:
-      bytes.resize(rng() % (bytes.size() + 1));
-      break;
-    case 1:
-      for (std::size_t k = 1 + rng() % 8; k > 0; --k)
-        bytes.push_back(static_cast<std::uint8_t>(rng()));
-      break;
-    case 2:
-      if (bytes.empty()) break;
-      for (std::size_t k = 1 + rng() % 3; k > 0; --k)
-        bytes[rng() % bytes.size()] ^=
-            static_cast<std::uint8_t>(1u << (rng() % 8));
-      break;
-    default: {
-      static constexpr std::uint32_t kCounts[] = {0, 1, 0xFF, 0xFFFF,
-                                                  0xFFFFFFFF, 4096, 4097};
-      const std::size_t width = rng() % 2 == 0 ? 2 : 4;
-      if (bytes.size() < width) break;
-      const std::uint32_t value =
-          rng() % 2 == 0 ? kCounts[rng() % std::size(kCounts)]
-                         : static_cast<std::uint32_t>(rng());
-      const std::size_t at = rng() % (bytes.size() - width + 1);
-      for (std::size_t i = 0; i < width; ++i)
-        bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
-    }
-  }
-}
-
 TEST(Serialize, DecoderFuzzIsTotalBoundedAndCanonical) {
   // Every mutant goes to both decoders. Each returns or rejects without
   // throwing, makes no single request of operator new above
@@ -213,7 +182,7 @@ TEST(Serialize, DecoderFuzzIsTotalBoundedAndCanonical) {
   std::size_t reports = 0, announcements = 0;
   for (std::size_t i = 0; i < kMutants; ++i) {
     Payload bytes = corpus[i % corpus.size()];
-    for (std::size_t k = 1 + rng() % 3; k > 0; --k) mutate(bytes, rng);
+    for (std::size_t k = 1 + rng() % 3; k > 0; --k) test::mutate(bytes, rng);
     const std::size_t limit = kAllocPerByte * bytes.size();
 
     for (const std::uint32_t bound : {kMaxN, kAnyN}) {

@@ -5,7 +5,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "gf/kernels.h"
 #include "runtime/spec_parse.h"
 #include "util/parse.h"
 
@@ -148,15 +147,6 @@ bool parse_run_args(int argc, char** argv, RunArgs& args) {
       const char* v = value();
       if (v == nullptr) return false;
       args.out = v;
-    } else if (flag == "--kernel") {
-      const char* v = value();
-      if (v == nullptr || !gf::set_active_kernel(v)) {
-        std::fprintf(stderr,
-                     "--kernel %s: unknown or unsupported on this CPU "
-                     "(see `thinair kernels`)\n",
-                     v == nullptr ? "(missing)" : v);
-        return false;
-      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;

@@ -44,7 +44,6 @@ int usage(const char* argv0) {
       "       %s run NAME|--spec FILE [--set key=value]...\n"
       "           [--threads N] [--seed S] [--out FILE|-]\n"
       "           [--limit K] [--quiet]\n"
-      "           [--kernel scalar|portable|ssse3|avx2|gfni|auto]\n"
       "       %s kernels\n",
       argv0, argv0, argv0, argv0);
   tools::netd_usage(argv0);
@@ -52,20 +51,15 @@ int usage(const char* argv0) {
       stderr,
       "--spec runs a scenario composed in a spec file (docs/scenarios.md);\n"
       "--set overrides one spec key by dotted path, e.g. channel.p=0.3.\n"
-      "--kernel (or THINAIR_GF_KERNEL) retargets the GF(2^8) bulk kernels;\n"
-      "output is byte-identical across kernels.\n"
       "serve/client run a live key agreement over UDP (docs/daemon.md).\n");
   return 2;
 }
 
 int cmd_kernels() {
-  // One row per registered kernel; every kernel implements the full
-  // vtable (axpy/mul_row/xor_into + the fused mad_multi scatter and
-  // dot_multi gather), so the second column documents the fusion both
-  // directions dispatch to.
+  // One row per GF(2^8) kernel this CPU can run; CPUID dispatch picks
+  // the active one.
   for (const gf::Kernel* k : gf::all_kernels())
-    std::printf("%-9s fused: mad_multi+dot_multi (x%zu)%s\n", k->name,
-                gf::kMaxFusedRows,
+    std::printf("%s%s\n", k->name,
                 k == &gf::active_kernel() ? "  (active)" : "");
   return 0;
 }
