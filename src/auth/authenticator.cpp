@@ -10,11 +10,6 @@ void Authenticator::refill(const std::vector<std::uint8_t>& secret_bytes) {
   pool_.deposit(secret_bytes);
 }
 
-std::size_t Authenticator::keys_available() const {
-  return drawn_.size() - std::min<std::size_t>(drawn_.size(), next_sign_) +
-         pool_.available() / MacKey::kBytes;
-}
-
 std::optional<MacKey> Authenticator::key_for(std::uint64_t sequence) {
   while (drawn_.size() <= sequence) {
     auto bytes = pool_.draw(MacKey::kBytes);

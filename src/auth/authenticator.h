@@ -38,9 +38,6 @@ class Authenticator {
   /// Add freshly agreed secret bytes (protocol output) to the key pool.
   void refill(const std::vector<std::uint8_t>& secret_bytes);
 
-  /// Keys still available.
-  [[nodiscard]] std::size_t keys_available() const;
-
   /// Tag a message, consuming one key. Returns std::nullopt when the pool
   /// is exhausted (callers must then run more protocol rounds).
   [[nodiscard]] std::optional<AuthenticatedMessage> sign(

@@ -1,17 +1,12 @@
 #include "channel/geometry.h"
 
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 namespace thinair::channel {
 
 double distance(Vec2 a, Vec2 b) {
   return std::hypot(a.x - b.x, a.y - b.y);
-}
-
-std::ostream& operator<<(std::ostream& os, Vec2 v) {
-  return os << "(" << v.x << ", " << v.y << ")";
 }
 
 CellGrid::CellGrid(double area_m2) : side_(std::sqrt(area_m2)) {
@@ -39,13 +34,6 @@ CellIndex CellGrid::cell_of(Vec2 p) const {
     return i >= 2.0 ? 2 : i >= 1.0 ? 1 : 0;
   };
   return CellIndex{3 * clamp_idx(p.y) + clamp_idx(p.x)};
-}
-
-std::vector<Vec2> CellGrid::centers() const {
-  std::vector<Vec2> out;
-  out.reserve(kCells);
-  for (std::size_t i = 0; i < kCells; ++i) out.push_back(center(CellIndex{i}));
-  return out;
 }
 
 }  // namespace thinair::channel

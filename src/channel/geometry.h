@@ -3,8 +3,6 @@
 // logical cell grid over a 14 m^2 square area (Sec. 4).
 
 #include <cstddef>
-#include <iosfwd>
-#include <vector>
 
 namespace thinair::channel {
 
@@ -16,7 +14,6 @@ struct Vec2 {
 
 [[nodiscard]] double distance(Vec2 a, Vec2 b);
 
-std::ostream& operator<<(std::ostream& os, Vec2 v);
 
 /// Index of one of the paper's 9 logical cells, row-major: cell (r, c) has
 /// index 3*r + c with r, c in {0, 1, 2}.
@@ -52,9 +49,6 @@ class CellGrid {
   /// higher-index cell; out-of-area points, however far, clamp to the
   /// nearest cell; a NaN coordinate counts as below the area).
   [[nodiscard]] CellIndex cell_of(Vec2 p) const;
-
-  /// All 9 cell centres, by index.
-  [[nodiscard]] std::vector<Vec2> centers() const;
 
   friend bool operator==(const CellGrid&, const CellGrid&) = default;
 

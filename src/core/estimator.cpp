@@ -78,11 +78,6 @@ std::size_t KSubsetEstimator::missed_within(
   return best;
 }
 
-std::unique_ptr<EveBoundEstimator> make_leave_one_out(
-    const ReceptionTable& table) {
-  return std::make_unique<KSubsetEstimator>(table, 1);
-}
-
 LooFractionEstimator::LooFractionEstimator(const ReceptionTable& table,
                                            double safety)
     : table_(table), safety_(safety) {

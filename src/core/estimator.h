@@ -15,8 +15,8 @@
 //    some minimum fraction of the packets" — bound = floor(delta * |A|).
 //  - KSubsetEstimator: "pretend that each set of k terminals together are
 //    Eve"; k = 1 is the paper's main empirical strategy ("pretend each
-//    terminal Tj is Eve"), larger k defends against a k-antenna Eve.
-//  - LeaveOneOutEstimator: alias for k = 1.
+//    terminal Tj is Eve", EstimatorKind::kLeaveOneOut), larger k defends
+//    against a k-antenna Eve.
 
 #include <cstdint>
 #include <memory>
@@ -93,10 +93,6 @@ class KSubsetEstimator final : public EveBoundEstimator {
   const ReceptionTable& table_;
   std::size_t k_;
 };
-
-/// The paper's main strategy: pretend each single other terminal is Eve.
-[[nodiscard]] std::unique_ptr<EveBoundEstimator> make_leave_one_out(
-    const ReceptionTable& table);
 
 /// Empirical fraction bound: measure each pretend-Eve's overall miss rate,
 /// take the most pessimistic (smallest) one, derate it by a safety factor,

@@ -728,7 +728,6 @@ std::atomic<const Kernel*>& active_slot() {
 }  // namespace
 
 const Kernel& scalar_kernel() { return kScalar; }
-const Kernel& portable_kernel() { return kPortable; }
 
 const Kernel* simd_kernel() {
 #ifdef THINAIR_GF_X86_SIMD

@@ -81,10 +81,6 @@ struct Kernel {
 /// The byte-at-a-time log/exp baseline (always available).
 [[nodiscard]] const Kernel& scalar_kernel();
 
-/// Portable 64-bit SWAR kernel: eight bytes per step via a bit-sliced
-/// xtime ladder (always available).
-[[nodiscard]] const Kernel& portable_kernel();
-
 /// Best SIMD kernel this CPU supports (GFNI+AVX-512 > AVX2 > SSSE3), or
 /// nullptr when the build/CPU has none.
 [[nodiscard]] const Kernel* simd_kernel();

@@ -31,21 +31,6 @@ std::size_t Ledger::total_bytes() const {
   return total;
 }
 
-void Ledger::reset() {
-  bytes_.fill(0);
-  frames_.fill(0);
-  airtime_s_ = 0.0;
-}
-
-Ledger& Ledger::operator+=(const Ledger& other) {
-  for (std::size_t i = 0; i < kTrafficClassCount; ++i) {
-    bytes_[i] += other.bytes_[i];
-    frames_[i] += other.frames_[i];
-  }
-  airtime_s_ += other.airtime_s_;
-  return *this;
-}
-
 Ledger Ledger::since(const Ledger& snapshot) const {
   Ledger out = *this;
   for (std::size_t i = 0; i < kTrafficClassCount; ++i) {

@@ -40,10 +40,6 @@ class Ledger {
     return bytes(TrafficClass::kData) + bytes(TrafficClass::kCoded);
   }
 
-  void reset();
-
-  Ledger& operator+=(const Ledger& other);
-
   /// Componentwise difference (for "traffic since a snapshot"); all of
   /// other's counters must be <= this ledger's.
   [[nodiscard]] Ledger since(const Ledger& snapshot) const;

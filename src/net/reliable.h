@@ -5,23 +5,17 @@
 // packets").
 //
 // Implementation: the sender retransmits until every terminal has the
-// frame; after each attempt, each terminal that newly received the frame
-// answers with a short acknowledgement (charged to the ledger). The trace
-// entries of all attempts are marked `reliable`, which is how the secrecy
-// analysis learns that the content is public.
+// frame, backing off to the next interference slot after a failed attempt
+// instead of retrying into the same noise pattern (idle time that saves
+// the transmitted bytes the efficiency metric counts); after each
+// attempt, each terminal that newly received the frame answers with a
+// short acknowledgement (charged to the ledger). The trace entries of all
+// attempts are marked `reliable`, which is how the secrecy analysis
+// learns that the content is public.
 
 #include "net/medium.h"
 
 namespace thinair::net {
-
-struct ReliableParams {
-  std::size_t max_attempts = 1000;
-  std::size_t ack_payload_bytes = 2;
-  /// Back off to the next interference slot after a failed attempt instead
-  /// of retrying into the same noise pattern. Costs idle time, saves the
-  /// transmitted bytes the efficiency metric counts.
-  bool slot_backoff = true;
-};
 
 struct ReliableResult {
   unsigned attempts = 0;
@@ -29,11 +23,10 @@ struct ReliableResult {
 };
 
 /// Reliably broadcast `pkt` from `source` to every terminal attached to
-/// `medium`. Throws std::runtime_error when max_attempts is exhausted
-/// (possible only on pathological channels).
+/// `medium`. Throws std::runtime_error after 1000 attempts (possible only
+/// on pathological channels).
 ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
-                                  const packet::Packet& pkt, TrafficClass cls,
-                                  ReliableParams params = {});
+                                  const packet::Packet& pkt, TrafficClass cls);
 
 /// Reliably deliver `pkt` from `source` to the single terminal `dest`
 /// (802.11-style acked unicast). On a broadcast medium everyone may still
@@ -41,6 +34,6 @@ ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
 /// public; used by the unicast baseline of Figure 1.
 ReliableResult reliable_unicast(Medium& medium, packet::NodeId source,
                                 packet::NodeId dest, const packet::Packet& pkt,
-                                TrafficClass cls, ReliableParams params = {});
+                                TrafficClass cls);
 
 }  // namespace thinair::net

@@ -9,6 +9,7 @@
 #include "core/phase1.h"
 #include "core/phase2.h"
 #include "core/pool.h"
+#include "gf/mds.h"
 #include "net/trace.h"
 
 namespace thinair::netd {
@@ -17,6 +18,18 @@ namespace {
 
 /// Upper bound on N accepted from the wire (sanity, not a protocol limit).
 constexpr std::uint32_t kMaxUniverse = 4096;
+
+/// A protocol frame of `round`: kData for an x-payload, kCtrl otherwise.
+Frame round_frame(WirePhase phase, std::uint32_t round,
+                  std::uint32_t seq = 0) {
+  Frame f;
+  f.header.type = static_cast<std::uint8_t>(
+      phase == WirePhase::kXData ? FrameType::kData : FrameType::kCtrl);
+  f.header.phase = static_cast<std::uint8_t>(phase);
+  f.header.round = round;
+  f.header.seq = seq;
+  return f;
+}
 
 }  // namespace
 
@@ -32,7 +45,7 @@ void NodeSession::reset(NodeConfig config) {
   payload_rng_ = channel::Rng(config.payload_seed);
   // Keep the arena's blocks for the next lifecycle; the watermark trim
   // stops one oversized session from pinning its peak.
-  arena_.reset();
+  clear_round();
   arena_.trim_to_watermark();
   queue_.clear();
   inflight_.reset();
@@ -48,9 +61,6 @@ void NodeSession::reset(NodeConfig config) {
   attached_ = false;
   roster_.clear();
   round_ = 0;
-  round_active_ = false;
-  rx_.clear();
-  alice_.reset();
   secret_.clear();
   if (config_.node >= 64) fail("node id must be < 64 (NodeSet range)");
   if (config_.members < 2) fail("need at least 2 members");
@@ -198,7 +208,7 @@ void NodeSession::on_hub_frame(const Frame& f, double now_s) {
           inflight_->type == static_cast<std::uint8_t>(FrameType::kAttach)) {
         inflight_.reset();
         attached_ = true;
-        maybe_start_round(now_s);
+        maybe_run();
       }
       return;
     case FrameType::kReady: {
@@ -219,8 +229,7 @@ void NodeSession::on_hub_frame(const Frame& f, double now_s) {
           terminals.end())
         return fail("roster does not contain this node");
       roster_ = std::move(terminals);  // std::map order: already ascending
-      maybe_start_round(now_s);
-      drain_relays(now_s);  // relays that overtook this kReady
+      maybe_run();
       return;
     }
     case FrameType::kTxReport:
@@ -260,10 +269,10 @@ void NodeSession::on_hub_frame(const Frame& f, double now_s) {
 void NodeSession::on_relay(const Frame& f, double now_s) {
   const std::uint32_t seq = f.header.aux;
   if (seq < next_relay_) return;  // duplicate
-  // Hold relays until the roster is known: a relay can overtake the single
-  // kReady datagram (UDP reorders, or kReady is lost outright) and
-  // deliver() needs the roster to attribute frames to the round's Alice.
-  if (roster_.empty()) {
+  // Hold relays until the session runs: a relay can overtake the single
+  // kReady datagram or the kAttachOk (UDP reorders, or either is lost
+  // outright), and deliver() needs the roster and the round in progress.
+  if (state_ == State::kIdle || state_ == State::kJoining) {
     pending_relays_.emplace(seq, f);
     return;
   }
@@ -279,13 +288,12 @@ void NodeSession::on_relay(const Frame& f, double now_s) {
     }
     return;
   }
-  deliver(f, now_s);
+  deliver(f);
   ++next_relay_;
-  drain_relays(now_s);
+  drain_relays();
 }
 
-void NodeSession::drain_relays(double now_s) {
-  if (roster_.empty()) return;
+void NodeSession::drain_relays() {
   auto it = pending_relays_.begin();
   while (it != pending_relays_.end() && state_ != State::kFailed) {
     if (it->first < next_relay_) {
@@ -293,64 +301,57 @@ void NodeSession::drain_relays(double now_s) {
       continue;
     }
     if (it->first != next_relay_) break;
-    deliver(it->second, now_s);
+    deliver(it->second);
     ++next_relay_;
     it = pending_relays_.erase(it);
   }
 }
 
-void NodeSession::deliver(const Frame& f, double now_s) {
-  // A relayed frame preserves the original sender's phase/round/seq; the
-  // original type is recovered from the phase (kXData came in as kData,
-  // everything else as kCtrl).
-  const auto phase = static_cast<WirePhase>(f.header.phase);
-  const std::uint32_t round = f.header.round;
-  if (round >= total_rounds() && state_ == State::kRunning)
-    return;  // stray frame past the agreed horizon
-  if (phase == WirePhase::kXData) {
-    if (f.header.node != alice_of(round)) return;
-    RoundRx& rr = rx_[round];
-    if (f.payload.size() != config_.payload_bytes) return;
-    rr.x.emplace(f.header.seq, f.payload);
+void NodeSession::deliver(const Frame& f) {
+  // A relayed frame keeps its sender's phase/round/seq (kXData came in as
+  // kData, every other phase as kCtrl). Only frames of the round in
+  // progress count (see Round), and the hub never relays a member's own
+  // frames back to it.
+  if (state_ != State::kRunning || f.header.round != round_ ||
+      f.header.node == config_.node)
     return;
-  }
-  on_ctrl(f, now_s);
-}
+  const bool from_alice = f.header.node == alice();
+  const std::uint32_t seq = f.header.seq;
 
-void NodeSession::on_ctrl(const Frame& f, double now_s) {
-  const auto phase = static_cast<WirePhase>(f.header.phase);
-  const std::uint32_t round = f.header.round;
-  const bool from_alice = f.header.node == alice_of(round);
-
-  switch (phase) {
+  switch (static_cast<WirePhase>(f.header.phase)) {
+    case WirePhase::kXData: {
+      if (!from_alice || seq >= current_.x.size() ||
+          f.payload.size() != config_.payload_bytes)
+        return;
+      if (current_.x[seq].empty()) current_.x[seq] = arena_.copy(f.payload);
+      return;
+    }
     case WirePhase::kEndOfX: {
       if (!from_alice) return;
-      RoundRx& rr = rx_[round];
       if (f.payload.size() != 4) return fail("malformed kEndOfX");
       const std::uint32_t n = static_cast<std::uint32_t>(f.payload[0]) |
                               (static_cast<std::uint32_t>(f.payload[1]) << 8) |
                               (static_cast<std::uint32_t>(f.payload[2]) << 16) |
                               (static_cast<std::uint32_t>(f.payload[3]) << 24);
-      if (n == 0 || n > kMaxUniverse) return fail("bad universe in kEndOfX");
-      rr.universe = n;
-      if (rr.reported) return;
-      rr.reported = true;
+      if (n != current_.x.size())
+        return fail("kEndOfX carries N = " + std::to_string(n) + ", not " +
+                    std::to_string(current_.x.size()));
+      if (current_.reported) return;
+      current_.reported = true;
       packet::ReceptionReport report;
       report.universe = n;
-      for (const auto& [seq, payload] : rr.x)
-        if (seq < n) report.received.push_back(seq);
-      Frame rf;
-      rf.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-      rf.header.phase = static_cast<std::uint8_t>(WirePhase::kReport);
-      rf.header.round = round;
+      for (std::uint32_t i = 0; i < n; ++i)
+        if (!current_.x[i].empty()) report.received.push_back(i);
+      Frame rf = round_frame(WirePhase::kReport, round_);
       rf.payload = packet::encode(report);
       queue_frame(std::move(rf));
       return;
     }
     case WirePhase::kReport: {
-      // Only the round's Alice consumes peer reports.
-      if (alice_of(round) != config_.node || !alice_.has_value() ||
-          round_ != round)
+      // Only the round's Alice consumes reports, one from each receiver.
+      if (alice() != config_.node ||
+          std::find(roster_.begin(), roster_.end(), f.header.node) ==
+              roster_.end())
         return;
       auto decoded = packet::decode_report(f.payload, kMaxUniverse);
       if (!decoded.has_value()) return fail("undecodable reception report");
@@ -358,30 +359,31 @@ void NodeSession::on_ctrl(const Frame& f, double now_s) {
         return fail("report universe mismatch (got " +
                     std::to_string(decoded->universe) + ", expected " +
                     std::to_string(config_.x_packets_per_round) + ")");
-      alice_->reports.emplace(f.header.node, std::move(*decoded));
-      if (alice_->reports.size() == roster_.size() - 1)
-        finish_alice_round(now_s);
+      current_.reports.emplace(f.header.node, std::move(*decoded));
+      if (current_.reports.size() == roster_.size() - 1) finish_alice_round();
       return;
     }
     case WirePhase::kYAnnouncement: {
       if (!from_alice) return;
       auto decoded = packet::decode_announcement(f.payload);
       if (!decoded.has_value()) return fail("undecodable y-announcement");
-      rx_[round].y_ann = std::move(*decoded);
+      current_.y_ann = std::move(*decoded);
       return;
     }
     case WirePhase::kZCoded: {
       if (!from_alice) return;
       if (f.payload.size() != config_.payload_bytes)
         return fail("z payload size mismatch");
-      rx_[round].z.emplace(f.header.seq, f.payload);
+      if (seq >= gf::mds::kMaxColumns) return fail("z seq out of range");
+      if (seq >= current_.z.size()) current_.z.resize(seq + 1);
+      if (current_.z[seq].empty()) current_.z[seq] = arena_.copy(f.payload);
       return;
     }
     case WirePhase::kSAnnouncement: {
       if (!from_alice) return;
       auto decoded = packet::decode_announcement(f.payload);
       if (!decoded.has_value()) return fail("undecodable s-announcement");
-      finish_receiver_round(round, *decoded, now_s);
+      finish_receiver_round(*decoded);
       return;
     }
     default:
@@ -389,10 +391,14 @@ void NodeSession::on_ctrl(const Frame& f, double now_s) {
   }
 }
 
-void NodeSession::maybe_start_round(double now_s) {
-  if (state_ == State::kJoining && attached_ && !roster_.empty())
-    state_ = State::kRunning;
-  if (state_ != State::kRunning || round_active_) return;
+void NodeSession::maybe_run() {
+  if (state_ != State::kJoining || !attached_ || roster_.empty()) return;
+  state_ = State::kRunning;
+  begin_round();
+  drain_relays();  // relays held while joining
+}
+
+void NodeSession::begin_round() {
   if (round_ >= total_rounds()) {
     state_ = State::kClosing;
     Frame bye;
@@ -400,33 +406,24 @@ void NodeSession::maybe_start_round(double now_s) {
     queue_frame(std::move(bye));
     return;
   }
-  round_active_ = true;
-  if (alice_of(round_) == config_.node) start_alice_round(now_s);
+  current_.x.assign(config_.x_packets_per_round, {});
+  if (alice() == config_.node) start_alice_round();
   // Receivers are stream-driven: nothing to do until relays arrive.
 }
 
-void NodeSession::start_alice_round(double /*now_s*/) {
-  const std::size_t n = config_.x_packets_per_round;
-  alice_.emplace();
-  alice_->x.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& payload = alice_->x[i];
-    payload.resize(config_.payload_bytes);
+void NodeSession::start_alice_round() {
+  for (std::size_t i = 0; i < current_.x.size(); ++i) {
+    const packet::ByteSpan payload = arena_.alloc_uninit(config_.payload_bytes);
     for (auto& b : payload) b = payload_rng_.next_byte();
-    Frame f;
-    f.header.type = static_cast<std::uint8_t>(FrameType::kData);
-    f.header.phase = static_cast<std::uint8_t>(WirePhase::kXData);
-    f.header.round = round_;
-    f.header.seq = static_cast<std::uint32_t>(i);
-    f.payload = payload;
+    current_.x[i] = payload;
+    Frame f = round_frame(WirePhase::kXData, round_,
+                          static_cast<std::uint32_t>(i));
+    f.payload.assign(payload.begin(), payload.end());
     queue_frame(std::move(f));
   }
-  Frame end;
-  end.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-  end.header.phase = static_cast<std::uint8_t>(WirePhase::kEndOfX);
-  end.header.round = round_;
+  Frame end = round_frame(WirePhase::kEndOfX, round_);
   // N travels in the payload: relays repurpose aux for the stream seq.
-  const auto n32 = static_cast<std::uint32_t>(n);
+  const auto n32 = static_cast<std::uint32_t>(current_.x.size());
   end.payload = {static_cast<std::uint8_t>(n32),
                  static_cast<std::uint8_t>(n32 >> 8),
                  static_cast<std::uint8_t>(n32 >> 16),
@@ -434,16 +431,15 @@ void NodeSession::start_alice_round(double /*now_s*/) {
   queue_frame(std::move(end));
 }
 
-void NodeSession::finish_alice_round(double now_s) {
-  const std::size_t n = config_.x_packets_per_round;
+void NodeSession::finish_alice_round() {
   const std::size_t payload = config_.payload_bytes;
-  arena_.reset();
 
   std::vector<packet::NodeId> receivers;
   for (std::uint16_t id : roster_)
     if (id != config_.node) receivers.push_back(packet::NodeId{id});
-  core::ReceptionTable table(packet::NodeId{config_.node}, receivers, n);
-  for (const auto& [id, report] : alice_->reports)
+  core::ReceptionTable table(packet::NodeId{config_.node}, receivers,
+                             current_.x.size());
+  for (const auto& [id, report] : current_.reports)
     table.set_received(packet::NodeId{id}, report.received);
 
   // The daemon path has no oracle and no interference schedule, so size
@@ -455,38 +451,27 @@ void NodeSession::finish_alice_round(double now_s) {
   const core::YPool& pool = phase1.build.pool;
   const core::Phase2Plan plan = core::plan_phase2(pool);
 
-  std::vector<packet::ConstByteSpan> x_spans(alice_->x.begin(),
-                                             alice_->x.end());
   const std::vector<packet::ConstByteSpan> y_contents =
-      core::all_y_contents(pool, x_spans, payload, arena_);
+      core::all_y_contents(pool, current_.x, payload, arena_);
   const std::vector<packet::ConstByteSpan> z_payloads =
       plan.h.rows() > 0
           ? core::make_z_payloads(plan, y_contents, payload, arena_)
           : std::vector<packet::ConstByteSpan>{};
 
-  Frame ya;
-  ya.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-  ya.header.phase = static_cast<std::uint8_t>(WirePhase::kYAnnouncement);
-  ya.header.round = round_;
+  Frame ya = round_frame(WirePhase::kYAnnouncement, round_);
   ya.payload = packet::encode(phase1.announcement);
   if (ya.payload.size() > kMaxPayload)
     return fail("y-announcement exceeds frame cap (reduce N)");
   queue_frame(std::move(ya));
 
   for (std::size_t zi = 0; zi < z_payloads.size(); ++zi) {
-    Frame zf;
-    zf.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-    zf.header.phase = static_cast<std::uint8_t>(WirePhase::kZCoded);
-    zf.header.round = round_;
-    zf.header.seq = static_cast<std::uint32_t>(zi);
+    Frame zf = round_frame(WirePhase::kZCoded, round_,
+                           static_cast<std::uint32_t>(zi));
     zf.payload.assign(z_payloads[zi].begin(), z_payloads[zi].end());
     queue_frame(std::move(zf));
   }
 
-  Frame sa;
-  sa.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-  sa.header.phase = static_cast<std::uint8_t>(WirePhase::kSAnnouncement);
-  sa.header.round = round_;
+  Frame sa = round_frame(WirePhase::kSAnnouncement, round_);
   sa.payload = packet::encode(plan.s_announcement);
   if (sa.payload.size() > kMaxPayload)
     return fail("s-announcement exceeds frame cap (reduce N)");
@@ -498,22 +483,18 @@ void NodeSession::finish_alice_round(double now_s) {
     for (const packet::ConstByteSpan s : s_payloads)
       secret_.insert(secret_.end(), s.begin(), s.end());
   }
-  alice_.reset();
-  round_complete(now_s);
+  round_complete();
 }
 
-void NodeSession::finish_receiver_round(std::uint32_t round,
-                                        const packet::Announcement& s_ann,
-                                        double now_s) {
-  auto it = rx_.find(round);
-  if (it == rx_.end() || !it->second.y_ann.has_value())
+void NodeSession::finish_receiver_round(const packet::Announcement& s_ann) {
+  if (!current_.y_ann.has_value())
     return fail("s-announcement before y-announcement");
-  RoundRx& rr = it->second;
+  if (!current_.reported) return fail("s-announcement before kEndOfX");
+  const packet::Announcement& y_ann = *current_.y_ann;
   const std::size_t payload = config_.payload_bytes;
-  const std::uint32_t n = rr.universe;
-  if (n == 0) return fail("s-announcement before kEndOfX");
+  const std::size_t n = current_.x.size();
 
-  const std::size_t m = rr.y_ann->combinations.size();
+  const std::size_t m = y_ann.combinations.size();
   const std::size_t l = s_ann.combinations.size();
   if (l > m) return fail("announced L > M");
 
@@ -528,38 +509,30 @@ void NodeSession::finish_receiver_round(std::uint32_t round,
     return fail(std::string("announced sizes have no phase-2 plan: ") +
                 e.what());
   }
-  if (rr.z.size() != plan.h.rows() ||
-      (!rr.z.empty() && rr.z.rbegin()->first != rr.z.size() - 1))
+  const std::vector<packet::ConstByteSpan>& z = current_.z;
+  if (z.size() != plan.h.rows() ||
+      std::any_of(z.begin(), z.end(),
+                  [](packet::ConstByteSpan s) { return s.empty(); }))
     return fail("z-packet set incomplete at s-announcement");
 
   if (l > 0) {
-    arena_.reset();
     const packet::NodeId self{config_.node};
     core::YPool pool(n, {self});
-    for (const packet::Combination& combo : rr.y_ann->combinations) {
+    for (const packet::Combination& combo : y_ann.combinations) {
       bool have_all = true;
       for (const packet::Term& t : combo.terms()) {
         if (t.index >= n) return fail("y combination index out of range");
-        if (!rr.x.contains(t.index)) have_all = false;
+        if (current_.x[t.index].empty()) have_all = false;
       }
       net::NodeSet audience;
       if (have_all && !combo.empty()) audience.insert(self);
       pool.add({combo, audience});
     }
 
-    std::vector<packet::ConstByteSpan> x_spans(n);
-    for (const auto& [seq, bytes] : rr.x)
-      if (seq < n) x_spans[seq] = bytes;
-
-    std::vector<packet::ConstByteSpan> z_spans;
-    z_spans.reserve(rr.z.size());
-    for (const auto& [seq, bytes] : rr.z) z_spans.push_back(bytes);
-
     try {
       const auto own_y =
-          core::reconstruct_y(pool, self, x_spans, payload, arena_);
-      const auto full_y =
-          core::recover_all_y(plan, own_y, z_spans, payload, arena_);
+          core::reconstruct_y(pool, self, current_.x, payload, arena_);
+      const auto full_y = core::recover_all_y(plan, own_y, z, payload, arena_);
       const auto own_s =
           core::make_s_payloads(plan, full_y, payload, arena_);
       for (const packet::ConstByteSpan s : own_s)
@@ -568,15 +541,24 @@ void NodeSession::finish_receiver_round(std::uint32_t round,
       return fail(std::string("secret reconstruction failed: ") + e.what());
     }
   }
-
-  rx_.erase(it);
-  round_complete(now_s);
+  round_complete();
 }
 
-void NodeSession::round_complete(double now_s) {
+void NodeSession::round_complete() {
   ++round_;
-  round_active_ = false;
-  maybe_start_round(now_s);
+  clear_round();
+  begin_round();
+}
+
+void NodeSession::clear_round() {
+  // The round's end: its payloads go with it, and the containers keep
+  // their capacity for the next round.
+  current_.x.clear();
+  current_.z.clear();
+  current_.reported = false;
+  current_.y_ann.reset();
+  current_.reports.clear();
+  arena_.reset();
 }
 
 }  // namespace thinair::netd

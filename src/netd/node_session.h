@@ -27,32 +27,35 @@
 //
 // The class is sans-io and clock-free: callers feed received datagrams
 // (on_datagram), advance time (on_tick) and drain outgoing datagrams
-// (poll_datagram). Reliability over real UDP comes from two mechanisms:
-// stop-and-wait ARQ towards the hub, one datagram in flight that packs
-// every queued kData/kCtrl frame it can hold (each stamped with this
-// member's stream seq in aux; kAttach and kBye travel alone), cleared by
-// the ack of its last frame and retransmitted whole on timeout — the hub
-// accepts frames in stream order only, so retransmits are draw-neutral —
-// and an ordered relay stream from the hub (per-member sequence numbers;
-// gaps trigger kNack recovery, idle periods a probe kNack so a lost final
-// relay cannot deadlock the round). The roster announcement (kReady) is
-// covered too: relays that overtake it are buffered until the roster
-// arrives, and a joining node whose attach was acked re-sends the attach
-// on the probe timer — the hub replays kAttachOk/kReady idempotently — so
-// a lost kReady cannot wedge the join.
+// (poll_datagram). Time drives only the transport; the round logic is a
+// function of the ordered relay stream alone. Reliability over real UDP
+// comes from two mechanisms: stop-and-wait ARQ towards the hub, one
+// datagram in flight that packs every queued kData/kCtrl frame it can
+// hold (each stamped with this member's stream seq in aux; kAttach and
+// kBye travel alone), cleared by the ack of its last frame and
+// retransmitted whole on timeout — the hub accepts frames in stream order
+// only, so retransmits are draw-neutral — and an ordered relay stream
+// from the hub (per-member sequence numbers; gaps trigger kNack recovery,
+// idle periods a probe kNack so a lost final relay cannot deadlock the
+// round). The roster announcement (kReady) is covered too: relays that
+// overtake it are held until the session runs, and a joining node whose
+// attach was acked re-sends the attach on the probe timer — the hub
+// replays kAttachOk/kReady idempotently — so a lost kReady cannot wedge
+// the join.
 //
 // Hostile members. Another roster member may send any control payload:
 // reports, kEndOfX markers, y- and s-announcements and z-payloads that
 // are truncated, extended, bit-flipped, carry spliced counts or have the
 // wrong size. Whatever it sends, this session ends — done, or failed()
-// with a non-empty error() — and on_datagram and on_tick never throw. A
-// member that stops sending (failed, crashed, or hostile and silent)
-// ends the others through fail() once a running session has heard
-// nothing from the hub for max_retries probe periods. The keys are not
-// compared: a member that lies about what it received or announced can
-// make them differ, which is what the paper's authentication (Sec. 2)
-// is for. NetdLoop.HostileMemberCannotCrashOrWedgeHonestOnes checks this
-// contract over a seeded set of mutants.
+// with a non-empty error() — on_datagram and on_tick never throw, and the
+// round's state stays within the bounds Round states. A member that stops
+// sending (failed, crashed, or hostile and silent) ends the others
+// through fail() once a running session has heard nothing from the hub
+// for max_retries probe periods. The keys are not compared: a member that
+// lies about what it received or announced can make them differ, which is
+// what the paper's authentication (Sec. 2) is for.
+// NetdLoop.HostileMemberCannotCrashOrWedgeHonestOnes checks this contract
+// over a seeded set of mutants.
 
 #include <cstdint>
 #include <deque>
@@ -134,19 +137,31 @@ class NodeSession {
   [[nodiscard]] std::size_t rounds_completed() const { return round_; }
 
  private:
-  // Receiver-side state of one round, keyed by round index.
-  struct RoundRx {
-    std::map<std::uint32_t, std::vector<std::uint8_t>> x;  // seq -> payload
-    std::uint32_t universe = 0;  // N, learned from kEndOfX (0 = not yet)
-    bool reported = false;
+  // The round in progress, for both roles. Every payload it holds is a
+  // span in arena_, and the struct and the arena reset together when the
+  // round ends.
+  //
+  // One round is all a member needs. The hub stamps every relay to a
+  // member from one per-member sequence, in the order it processes
+  // frames, and on_relay delivers them in that order. The next round's
+  // Alice starts only after she has processed this round's
+  // s-announcement, and every member's copy of that relay was stamped
+  // before hers. So each member ends a round before any frame of the next
+  // reaches it, and a frame for any other round is dropped.
+  //
+  // Bounds: an x seq at or past this member's N is dropped; a z seq at or
+  // past gf::mds::kMaxColumns (no plan has more z-packets) fails the
+  // session, as a wrong-size payload does; so does a kEndOfX whose N
+  // differs from this member's: members agree on N, as they do on the
+  // payload size and the rounds. A repeated seq keeps its first payload.
+  struct Round {
+    // By seq, an empty span where missed: Alice's own x-payloads, or the
+    // ones a receiver heard; then a receiver's z-payloads.
+    std::vector<packet::ConstByteSpan> x;
+    std::vector<packet::ConstByteSpan> z;
+    bool reported = false;  // receiver: kEndOfX seen, report queued
     std::optional<packet::Announcement> y_ann;
-    std::map<std::uint32_t, std::vector<std::uint8_t>> z;  // seq -> payload
-  };
-
-  // Alice-side state of the round this node is driving.
-  struct AliceRound {
-    std::vector<std::vector<std::uint8_t>> x;  // all N payloads
-    std::map<std::uint16_t, packet::ReceptionReport> reports;
+    std::map<std::uint16_t, packet::ReceptionReport> reports;  // Alice's
   };
 
   void fail(std::string why);
@@ -155,19 +170,19 @@ class NodeSession {
   void pump(double now_s);
   void on_hub_frame(const Frame& f, double now_s);
   void on_relay(const Frame& f, double now_s);
-  void drain_relays(double now_s);  // deliver buffered in-order relays
-  void deliver(const Frame& f, double now_s);  // in-order relayed frame
-  void on_ctrl(const Frame& f, double now_s);
-  void maybe_start_round(double now_s);
-  void start_alice_round(double now_s);
-  void finish_alice_round(double now_s);
-  void finish_receiver_round(std::uint32_t round,
-                             const packet::Announcement& s_ann, double now_s);
-  void round_complete(double now_s);
-  /// Node id driving `round`, or an id no member can hold while the
-  /// roster is still unknown (node ids are < 64; never divides by zero).
-  [[nodiscard]] std::uint16_t alice_of(std::uint32_t round) const {
-    return roster_.empty() ? 0xFFFF : roster_[round % roster_.size()];
+  void drain_relays();           // deliver buffered in-order relays
+  void deliver(const Frame& f);  // in-order relayed frame
+  void maybe_run();              // kJoining -> kRunning: round 0 begins
+  void begin_round();
+  void start_alice_round();
+  void finish_alice_round();
+  void finish_receiver_round(const packet::Announcement& s_ann);
+  void round_complete();
+  void clear_round();  // current_ and arena_ back to empty
+  /// Node id driving the round in progress (the roster is known while
+  /// running).
+  [[nodiscard]] std::uint16_t alice() const {
+    return roster_[round_ % roster_.size()];
   }
   [[nodiscard]] std::size_t total_rounds() const {
     return config_.rounds == 0 ? roster_.size() : config_.rounds;
@@ -200,9 +215,7 @@ class NodeSession {
   bool attached_ = false;
   std::vector<std::uint16_t> roster_;  // terminals, ascending id
   std::uint32_t round_ = 0;            // rounds completed locally
-  bool round_active_ = false;
-  std::map<std::uint32_t, RoundRx> rx_;
-  std::optional<AliceRound> alice_;
+  Round current_;                      // round round_, while kRunning
   std::vector<std::uint8_t> secret_;
 };
 

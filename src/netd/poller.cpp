@@ -49,17 +49,6 @@ void Poller::add(int fd) {
   fallback_.push_back(fd);
 }
 
-void Poller::remove(int fd) {
-#if THINAIR_HAVE_EPOLL
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    (void)epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
-    return;
-  }
-#endif
-  std::erase(fallback_, fd);
-}
-
 std::size_t Poller::wait(int timeout_ms, std::vector<int>& ready) {
 #if THINAIR_HAVE_EPOLL
   if (epoll_fd_ >= 0) {

@@ -20,7 +20,6 @@ class Poller {
 
   /// Register `fd` for readability. Throws std::system_error on failure.
   void add(int fd);
-  void remove(int fd);
 
   /// Block up to `timeout_ms` (-1 = forever) and append every readable fd
   /// to `ready`. Returns the number appended (0 on timeout).

@@ -12,6 +12,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "netd/wire.h"
+
 namespace thinair::netd {
 
 namespace {
@@ -78,9 +80,12 @@ bool UdpSocket::send_to(const sockaddr_in& to,
 }
 
 bool UdpSocket::recv_from(std::vector<std::uint8_t>& buf, sockaddr_in& from) {
-  buf.resize(1 << 14);
+  // One buffer per thread that takes the largest datagram whole, copied
+  // out at the size received: sizing `buf` to kMaxDatagram would zero-fill
+  // 64 KiB on every poll, including the polls that find nothing.
+  thread_local std::vector<std::uint8_t> scratch(kMaxDatagram);
   socklen_t len = sizeof(from);
-  const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), 0,
+  const ssize_t n = ::recvfrom(fd_, scratch.data(), scratch.size(), 0,
                                reinterpret_cast<sockaddr*>(&from), &len);
   if (n < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
@@ -88,7 +93,7 @@ bool UdpSocket::recv_from(std::vector<std::uint8_t>& buf, sockaddr_in& from) {
       return false;
     throw_errno("recvfrom");
   }
-  buf.resize(static_cast<std::size_t>(n));
+  buf.assign(scratch.data(), scratch.data() + n);
   return true;
 }
 

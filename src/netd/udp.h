@@ -34,8 +34,9 @@ class UdpSocket {
   /// the ARQ layers recover). Throws on hard errors.
   bool send_to(const sockaddr_in& to, std::span<const std::uint8_t> bytes);
 
-  /// Non-blocking recvfrom() into `buf` (resized to the datagram). Returns
-  /// false when nothing is pending.
+  /// Non-blocking recvfrom() into `buf` (resized to the datagram, which
+  /// may be as large as kMaxDatagram). Returns false when nothing is
+  /// pending.
   bool recv_from(std::vector<std::uint8_t>& buf, sockaddr_in& from);
 
   /// Block up to timeout_ms for readability (poll on this fd only).

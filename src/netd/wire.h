@@ -34,13 +34,16 @@ namespace thinair::netd {
 inline constexpr std::uint16_t kMagic = 0x5441;  // "TA" little-endian
 inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderSize = 32;
-/// Hard cap on payload bytes per frame. Sized for combination
-/// announcements (the largest control payload — M combos of up to N
-/// 5-byte terms each).
-inline constexpr std::size_t kMaxPayload = 8192;
+/// Hard cap on payload bytes per frame: the largest that keeps one frame
+/// in one UDP datagram over IPv4 (65,507 bytes). The largest control
+/// payloads are the combination announcements (M combinations of up to N
+/// 5-byte terms each). They outgrow 8 KiB from about N = 130, below
+/// fig1's N = 200, and this cap from about N = 350. payload_len, a u16,
+/// still holds kMaxPayload + 1.
+inline constexpr std::size_t kMaxPayload = 65475;
 /// Hard cap on one datagram: one frame at the largest payload, or several
-/// smaller frames back to back. Well under the 64 KiB UDP limit, though
-/// datagrams past ~1.4 KiB will IP-fragment off loopback.
+/// smaller frames back to back. Datagrams past ~1.4 KiB IP-fragment off
+/// loopback.
 inline constexpr std::size_t kMaxDatagram = kHeaderSize + kMaxPayload;
 
 /// Every kind of frame the daemon or a client can emit.

@@ -56,16 +56,6 @@ ConstByteSpan Combination::apply(std::span<const ConstByteSpan> inputs,
   return out;
 }
 
-void Combination::apply_into(std::span<const ConstByteSpan> inputs,
-                             ByteSpan out) const {
-  accumulate(terms_, inputs, out);
-}
-
-void Combination::apply_into(std::span<const Payload> inputs,
-                             ByteSpan out) const {
-  accumulate(terms_, inputs, out);
-}
-
 std::vector<std::uint8_t> Combination::dense_row(std::size_t universe) const {
   std::vector<std::uint8_t> row(universe, 0);
   for (const Term& t : terms_) {

@@ -16,16 +16,8 @@ std::string_view to_string(Kind k) {
   return "unknown";
 }
 
-std::ostream& operator<<(std::ostream& os, Kind k) { return os << to_string(k); }
-
 std::ostream& operator<<(std::ostream& os, NodeId id) {
   return os << "T" << id.value;
-}
-std::ostream& operator<<(std::ostream& os, PacketSeq id) {
-  return os << "#" << id.value;
-}
-std::ostream& operator<<(std::ostream& os, RoundId id) {
-  return os << "r" << id.value;
 }
 
 }  // namespace thinair::packet

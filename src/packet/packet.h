@@ -11,7 +11,6 @@
 // not Packet instances; they live as decoded payloads at each terminal.
 
 #include <cstdint>
-#include <iosfwd>
 #include <string_view>
 #include <vector>
 
@@ -29,7 +28,6 @@ enum class Kind : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(Kind k);
-std::ostream& operator<<(std::ostream& os, Kind k);
 
 using Payload = std::vector<std::uint8_t>;
 

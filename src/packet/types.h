@@ -31,8 +31,6 @@ struct RoundId {
 };
 
 std::ostream& operator<<(std::ostream& os, NodeId id);
-std::ostream& operator<<(std::ostream& os, PacketSeq id);
-std::ostream& operator<<(std::ostream& os, RoundId id);
 
 }  // namespace thinair::packet
 

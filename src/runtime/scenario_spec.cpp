@@ -118,10 +118,6 @@ ScenarioSpec& ScenarioSpec::with_session(SessionSpec s) {
   session = s;
   return *this;
 }
-ScenarioSpec& ScenarioSpec::with_pool(core::PoolStrategy pool) {
-  session.pool = pool;
-  return *this;
-}
 ScenarioSpec& ScenarioSpec::sweep_p(std::vector<double> values) {
   sweep.p_values = std::move(values);
   return *this;

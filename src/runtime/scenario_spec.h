@@ -211,7 +211,6 @@ struct ScenarioSpec {
   ScenarioSpec& add_estimator(core::EstimatorKind kind,
                               std::size_t max_placements = 0);
   ScenarioSpec& with_session(SessionSpec s);
-  ScenarioSpec& with_pool(core::PoolStrategy pool);
   ScenarioSpec& sweep_p(std::vector<double> values);
   /// Sweep any numeric spec key by dotted path (see SweepSpec::key).
   ScenarioSpec& sweep_key(std::string key, std::vector<double> values);

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Two-process (and four-process) key agreement through the thinair CLI:
 # start thinaird on an ephemeral port, run one `thinair client` process per
-# terminal, and require every process to print the identical key.
+# terminal, and require every process to print the identical key. One
+# group runs fig1's N = 200, whose announcements need datagrams far past
+# 8 KiB.
 #
 #   usage: cli_daemon_smoke.sh /path/to/thinair
 set -u
@@ -34,12 +36,14 @@ for _ in $(seq 50); do
 done
 [ -n "$PORT" ] || fail "daemon never reported its port"
 
+# run_group SESSION MEMBERS [CLIENT FLAGS...]
 run_group() {
   local session=$1 members=$2
+  shift 2
   local pids=() node rc=0
   for node in $(seq 0 $((members - 1))); do
     "$THINAIR" client --port "$PORT" --session "$session" --node "$node" \
-      --members "$members" --quiet \
+      --members "$members" --quiet "$@" \
       >"$WORK/key_${session}_${node}.txt" 2>"$WORK/err_${session}_${node}.txt" &
     pids+=($!)
   done
@@ -65,5 +69,6 @@ run_group() {
 
 run_group 21 2
 run_group 41 4
+run_group 61 2 --packets 200
 
 echo "PASS"

@@ -210,11 +210,8 @@ TEST(Reliable, ExhaustionThrows) {
   SimMedium medium(ch, channel::Rng(12));
   medium.attach(packet::NodeId{0}, Role::kTerminal);
   medium.attach(packet::NodeId{1}, Role::kTerminal);
-  ReliableParams params;
-  params.max_attempts = 5;
   EXPECT_THROW(reliable_broadcast(medium, packet::NodeId{0},
-                                  data_packet(0, 10), TrafficClass::kControl,
-                                  params),
+                                  data_packet(0, 10), TrafficClass::kControl),
                std::runtime_error);
 }
 

@@ -2,8 +2,9 @@
 // SessionHub with no sockets involved. Covers multi-party key equality,
 // cross-run determinism, keys pinned to a recorded digest, heavy loss,
 // relay loss + kNack recovery, the eavesdropper attach, roster-size
-// checks, idle expiry through the on_tick scan, the hub counters, and a
-// hostile member whose control payloads arrive mutated.
+// checks, idle expiry through the on_tick scan, the hub counters, fig1's
+// N, a member's memory under a flood of out-of-range seqs, and a hostile
+// member whose control payloads arrive mutated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,11 +22,18 @@
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>  // mallinfo2
+#endif
+
 #include "channel/rng.h"
 #include "fuzz_mutate.h"
+#include "gf/mds.h"
 #include "netd/hub.h"
 #include "netd/node_session.h"
 #include "netd/wire.h"
+#include "packet/serialize.h"
+#include "sanitizers.h"
 #include "util/sha256.h"
 
 namespace thinair::netd {
@@ -319,7 +327,7 @@ TEST(NetdNode, RelayBeforeReadyIsBufferedNotFatal) {
   // A kRelay can reach a joining node before (or instead of) the single
   // kReady datagram — UDP reorders, and a forged datagram with a matching
   // session id is always possible. With the roster still empty this used
-  // to divide by zero in alice_of(); it must buffer instead.
+  // to divide by zero picking the round's Alice; it must buffer instead.
   NodeSession node(make_node(0, 2));
   node.start(0.0);
   Frame relay;
@@ -334,19 +342,21 @@ TEST(NetdNode, RelayBeforeReadyIsBufferedNotFatal) {
   EXPECT_EQ(node.state(), NodeSession::State::kJoining);
 }
 
-// Takes `node` of a two-member session (ids 0 and 1) through attach and
-// roster, as the hub would, into round 0, whose Alice is node 0.
-void join_two_member_session(NodeSession& node) {
+// Takes `node` through attach and the roster `ready` (kReady's payload:
+// u16 count, then u16 id + u8 flags per member), as the hub would, into
+// round 0. The default roster is nodes 0 and 1; round 0's Alice is node 0.
+void join_session(NodeSession& node,
+                  std::vector<std::uint8_t> ready = {2, 0, 0, 0, 0, 1, 0, 0}) {
   node.start(0.0);
   Frame ok;
   ok.header.type = static_cast<std::uint8_t>(FrameType::kAttachOk);
   ok.header.session = 0xA11CE;
   node.on_datagram(encode(ok), 0.0);
-  Frame ready;
-  ready.header.type = static_cast<std::uint8_t>(FrameType::kReady);
-  ready.header.session = 0xA11CE;
-  ready.payload = {2, 0, 0, 0, 0, 1, 0, 0};  // u16 count, (u16 id, u8 flags)
-  node.on_datagram(encode(ready), 0.0);
+  Frame roster;
+  roster.header.type = static_cast<std::uint8_t>(FrameType::kReady);
+  roster.header.session = 0xA11CE;
+  roster.payload = std::move(ready);
+  node.on_datagram(encode(roster), 0.0);
 }
 
 // The `seq`-th relay of a round-0 control frame sent by node `from`.
@@ -371,7 +381,7 @@ TEST(NetdNode, HostileControlPayloadsFailTheSessionNotTheProcess) {
        {std::vector<std::uint8_t>{0xFF, 0xFF, 0xFF, 0xFF},
         std::vector<std::uint8_t>{0xF0, 0xFF, 0xFF, 0xFF, 0x00}}) {
     NodeSession alice(make_node(0, 2));
-    join_two_member_session(alice);
+    join_session(alice);
     ASSERT_EQ(alice.state(), NodeSession::State::kRunning);
     EXPECT_NO_THROW(
         alice.on_datagram(ctrl_relay(1, WirePhase::kReport, 0, report), 0.1));
@@ -383,7 +393,7 @@ TEST(NetdNode, HostileControlPayloadsFailTheSessionNotTheProcess) {
   // GF(2^8); the s-announcement that follows once threw out of
   // on_datagram.
   NodeSession bob(make_node(1, 2));
-  join_two_member_session(bob);
+  join_session(bob);
   ASSERT_EQ(bob.state(), NodeSession::State::kRunning);
   std::vector<std::uint8_t> y_ann = {0x00, 0x01};  // 256 empty combinations
   y_ann.resize(2 + 256 * 2, 0);
@@ -396,6 +406,88 @@ TEST(NetdNode, HostileControlPayloadsFailTheSessionNotTheProcess) {
   EXPECT_TRUE(bob.failed());
   EXPECT_NE(bob.error().find("pool too large"), std::string::npos)
       << bob.error();
+
+  // Members agree on N, as they do on the payload size: a kEndOfX that
+  // carries another N ends the session, where a receiver once took N
+  // from it.
+  NodeSession carol(make_node(1, 2));  // N = 16
+  join_session(carol);
+  ASSERT_EQ(carol.state(), NodeSession::State::kRunning);
+  EXPECT_NO_THROW(carol.on_datagram(
+      ctrl_relay(0, WirePhase::kEndOfX, 0, {17, 0, 0, 0}), 0.1));
+  EXPECT_TRUE(carol.failed());
+  EXPECT_FALSE(carol.error().empty());
+}
+
+// An eavesdropper is a hub member but no terminal, so the round's Alice
+// hears any report it sends. Counted, such a report once completed her
+// report set and threw out of on_datagram.
+TEST(NetdNode, EavesdropperReportIsNotCounted) {
+  NodeSession alice(make_node(0, 3));  // N = 32
+  join_session(alice, {3, 0, 0, 0, 0, 1, 0, 0, 2, 0, kFlagEve});
+  ASSERT_EQ(alice.state(), NodeSession::State::kRunning);
+  packet::ReceptionReport report;
+  report.universe = 32;
+  EXPECT_NO_THROW(alice.on_datagram(
+      ctrl_relay(2, WirePhase::kReport, 0, packet::encode(report)), 0.1));
+  EXPECT_EQ(alice.state(), NodeSession::State::kRunning) << alice.error();
+  EXPECT_EQ(alice.rounds_completed(), 0u);
+}
+
+// Bytes the heap holds, read from glibc outside the sanitizers (which
+// interpose the allocator); nullopt where that reading means nothing.
+std::optional<std::size_t> heap_in_use() {
+#if defined(__GLIBC__) && !THINAIR_UNDER_SANITIZER
+  return mallinfo2().uordblks;
+#else
+  return std::nullopt;
+#endif
+}
+
+// The round's Alice can send x- and z-payloads under any seq. A receiver
+// keeps one x-payload per seq below its own N and fails the session at a
+// z seq no plan has, so 100,000 seqs past those bounds leave its heap
+// where it was. Storing them cost 11 MB once.
+TEST(NetdNode, OutOfRangeSeqsLeaveTheHeapBounded) {
+  constexpr std::uint32_t kFlood = 100000;
+  constexpr std::size_t kSlack = std::size_t{256} << 10;
+  std::uint32_t relay_seq = 0;
+  // kFlood round-0 relays from node 0, seqs from `first`, as full datagrams.
+  const auto flood = [&relay_seq](NodeSession& node, WirePhase phase,
+                                  std::uint32_t first) {
+    Frame relay;
+    relay.header.type = static_cast<std::uint8_t>(FrameType::kRelay);
+    relay.header.session = 0xA11CE;
+    relay.header.phase = static_cast<std::uint8_t>(phase);
+    relay.payload.assign(16, 0xAB);
+    std::vector<std::uint8_t> dgram;
+    for (std::uint32_t i = 0; i < kFlood; ++i) {
+      if (dgram.size() + kHeaderSize + relay.payload.size() > kMaxDatagram) {
+        node.on_datagram(dgram, 0.1);
+        dgram.clear();
+      }
+      relay.header.seq = first + i;
+      relay.header.aux = relay_seq++;
+      encode_into(relay, dgram);
+    }
+    node.on_datagram(dgram, 0.1);
+  };
+  NodeSession bob(make_node(1, 2));  // N = 16
+  join_session(bob);
+  const std::optional<std::size_t> before = heap_in_use();
+
+  flood(bob, WirePhase::kXData, 16);
+  EXPECT_EQ(bob.state(), NodeSession::State::kRunning) << bob.error();
+  if (before) {
+    EXPECT_LT(*heap_in_use(), *before + kSlack);
+  }
+
+  flood(bob, WirePhase::kZCoded, gf::mds::kMaxColumns);
+  EXPECT_TRUE(bob.failed());
+  EXPECT_FALSE(bob.error().empty());
+  if (before) {
+    EXPECT_LT(*heap_in_use(), *before + kSlack);
+  }
 }
 
 // Applies `edit` to every kCtrl frame in a datagram `node` sent, keeping
@@ -528,6 +620,28 @@ TEST(NetdLoop, SurvivesLostReady) {
   EXPECT_EQ(dropped, 2u);
   EXPECT_EQ(h.node(0).secret(), h.node(1).secret());
   EXPECT_FALSE(h.node(0).secret().empty());
+}
+
+// fig1's N = 200 in a live session. A round's combination announcements
+// at that N outgrow an 8 KiB frame, which once failed sessions from
+// N = 130.
+TEST(NetdLoop, KeysAgreeAtThePapersN) {
+  for (const double loss : {0.2, 0.5, 0.8})
+    for (std::uint16_t members = 2; members <= 4; ++members) {
+      SCOPED_TRACE("loss " + std::to_string(loss) + ", " +
+                   std::to_string(members) + " members");
+      HubConfig hc;
+      hc.loss_p = loss;
+      LoopHarness h{hc};
+      for (std::uint16_t id = 0; id < members; ++id) {
+        NodeConfig c = make_node(id, members);
+        c.x_packets_per_round = 200;
+        h.add_node(c);
+      }
+      ASSERT_TRUE(h.run());
+      for (std::size_t i = 1; i < h.size(); ++i)
+        EXPECT_EQ(h.node(i).secret(), h.node(0).secret()) << "node " << i;
+    }
 }
 
 // Pins the hub's erasure draws across versions. Fixed-seed groups at four

@@ -22,20 +22,7 @@
 #include "runtime/result_sink.h"
 #include "runtime/scenarios.h"
 #include "runtime/seed.h"
-
-// The sanitizers interpose the global allocator (and deliberately never
-// reuse addresses), so the counting check only runs in plain builds.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define THINAIR_ALLOC_COUNTING 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define THINAIR_ALLOC_COUNTING 0
-#else
-#define THINAIR_ALLOC_COUNTING 1
-#endif
-#else
-#define THINAIR_ALLOC_COUNTING 1
-#endif
+#include "sanitizers.h"
 
 // A count of every operator-new call for the allocation budget. Relaxed:
 // the measured loops below are single-threaded, but gtest and the runtime
@@ -105,7 +92,7 @@ TEST(SessionPool, RunContinuesLifecycle) {
 
 // ------------------------------------------- round-loop allocation budget
 
-#if THINAIR_ALLOC_COUNTING
+#if !THINAIR_UNDER_SANITIZER
 // Mean operator-new calls per case of a registered scenario, run case by
 // case on this thread the way the engine runs them (fresh worker arena
 // per case, seed derived from the index). Only the second of two passes
@@ -138,7 +125,7 @@ double warm_allocs_per_case(const std::string& name) {
 // on gcc 12 / libstdc++), so a change that brings back a per-frame or
 // per-row allocation in the round loop fails here.
 TEST(AllocationBudget, Fig1WarmCases) {
-#if THINAIR_ALLOC_COUNTING
+#if !THINAIR_UNDER_SANITIZER
   const double per_case = warm_allocs_per_case("fig1");
   RecordProperty("allocs_per_case", std::to_string(per_case));
   EXPECT_LE(per_case, 3750.0) << "fig1 allocations per warm case";
@@ -148,7 +135,7 @@ TEST(AllocationBudget, Fig1WarmCases) {
 }
 
 TEST(AllocationBudget, Fig2WarmCases) {
-#if THINAIR_ALLOC_COUNTING
+#if !THINAIR_UNDER_SANITIZER
   const double per_case = warm_allocs_per_case("fig2");
   RecordProperty("allocs_per_case", std::to_string(per_case));
   EXPECT_LE(per_case, 1050.0) << "fig2 allocations per warm case";
@@ -187,7 +174,7 @@ TEST(SessionPool, EngineRunTwiceSameBytes) {
 }  // namespace
 }  // namespace thinair
 
-#if THINAIR_ALLOC_COUNTING
+#if !THINAIR_UNDER_SANITIZER
 // Counting overloads of the global allocator, defined after all other
 // code so nothing above accidentally depends on them being active.
 void* operator new(std::size_t n) {

@@ -41,7 +41,6 @@ void netd_usage(const char* argv0) {
 int cmd_serve(int argc, char** argv) {
   netd::DaemonConfig config;
   config.port = 7464;  // "TH" on a phone keypad; --port 0 asks the kernel
-  bool port_set = false;
   for (int i = 0; i < argc; ++i) {
     const std::string flag = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -52,7 +51,6 @@ int cmd_serve(int argc, char** argv) {
     } else if (flag == "--port" && util::parse_u64_in(value ? value : "", 0,
                                                       65535, n)) {
       config.port = static_cast<std::uint16_t>(n);
-      port_set = true;
     } else if (flag == "--loss") {
       double p = 0.0;
       if (!util::parse_nonneg_double(value ? value : "", p) || p >= 1.0)
@@ -72,8 +70,6 @@ int cmd_serve(int argc, char** argv) {
       return flag_error(flag.c_str(), value);
     }
   }
-  (void)port_set;
-
   try {
     netd::Daemon daemon(config);
     g_daemon = &daemon;
