@@ -5,7 +5,7 @@
 // pool: one non-blocking socket per terminal, all serviced by a single
 // epoll loop, every session in flight at once. Writes BENCH_daemon.json:
 //
-//   sessions, completed, p50/p99 time-to-key, sessions/sec, epoll
+//   sessions, completed, p50/p99 time-to-key, sessions/sec
 //
 // and exits nonzero unless every session completed with matching keys —
 // so the CI smoke run doubles as a correctness check. Defaults to 1000
@@ -13,21 +13,24 @@
 //
 //   usage: micro_daemon [--sessions K] [--packets N] [--deadline SEC]
 
+#include <sys/epoll.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "netd/daemon.h"
 #include "netd/node_session.h"
-#include "netd/poller.h"
 #include "netd/udp.h"
 #include "report.h"
 #include "util/parse.h"
@@ -112,13 +115,14 @@ int run_bench(const Options& opt) {
   const sockaddr_in daemon_addr = netd::make_addr("127.0.0.1", daemon.port());
 
   // Build the client pool: two terminals per session, one socket each,
-  // all registered with one poller.
+  // all in one epoll set whose events carry the client's index.
   const std::size_t n_clients = opt.sessions * 2;
   std::vector<ClientSlot> clients;
   clients.reserve(n_clients);
   std::vector<SessionTiming> timings(opt.sessions);
-  netd::Poller poller;
-  std::vector<std::size_t> by_fd;  // fd -> client index
+  const int epoll_fd = epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd < 0)
+    throw std::system_error(errno, std::generic_category(), "epoll_create1");
   for (std::size_t s = 0; s < opt.sessions; ++s) {
     for (std::uint16_t node = 0; node < 2; ++node) {
       netd::NodeConfig nc;
@@ -138,11 +142,11 @@ int run_bench(const Options& opt) {
       slot.socket = netd::UdpSocket::bind("127.0.0.1", 0);
       slot.session = std::make_unique<netd::NodeSession>(nc);
       slot.session_index = s;
-      const int fd = slot.socket.fd();
-      poller.add(fd);
-      if (static_cast<std::size_t>(fd) >= by_fd.size())
-        by_fd.resize(fd + 1, SIZE_MAX);
-      by_fd[fd] = clients.size();
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.u64 = clients.size();
+      if (epoll_ctl(epoll_fd, EPOLL_CTL_ADD, slot.socket.fd(), &ev) != 0)
+        throw std::system_error(errno, std::generic_category(), "epoll_ctl");
       clients.push_back(std::move(slot));
     }
   }
@@ -176,17 +180,18 @@ int run_bench(const Options& opt) {
     if (++t.nodes_done == 2) t.done_s = now;
   };
 
-  std::vector<int> ready;
+  epoll_event ready[64];
   sockaddr_in from{};
   double last_tick = t0;
   while (done_clients < n_clients) {
     double now = monotonic_s();
     if (now - t0 > opt.deadline_s) break;
-    ready.clear();
-    poller.wait(20, ready);
+    const int n = epoll_wait(epoll_fd, ready, 64, 20);
+    if (n < 0 && errno != EINTR)
+      throw std::system_error(errno, std::generic_category(), "epoll_wait");
     now = monotonic_s();
-    for (const int fd : ready) {
-      ClientSlot& c = clients[by_fd[static_cast<std::size_t>(fd)]];
+    for (int i = 0; i < n; ++i) {
+      ClientSlot& c = clients[ready[i].data.u64];
       while (c.socket.recv_from(dgram, from))
         c.session->on_datagram(dgram, now);
       flush(c);
@@ -206,6 +211,7 @@ int run_bench(const Options& opt) {
 
   daemon.stop();
   daemon_thread.join();
+  close(epoll_fd);
 
   // Completed = both nodes done AND keys byte-identical. A zero-length
   // key is a legitimate outcome (the estimator judged the round to carry
@@ -252,15 +258,13 @@ int run_bench(const Options& opt) {
       .num("sessions_per_s", rate, 1)
       .num("wall_s", wall_s, 2)
       .count("datagrams_in", hs.datagrams_in.load())
-      .count("frames_relayed", hs.frames_relayed.load())
-      .flag("epoll", daemon.using_epoll());
+      .count("frames_relayed", hs.frames_relayed.load());
   if (report.write() != 0) return 1;
 
   std::fprintf(stderr,
                "micro_daemon: %zu/%zu sessions, p50 %.1f ms, p99 %.1f ms, "
-               "%.0f sessions/s, %.2fs wall (%s)\n",
-               completed, opt.sessions, p50, p99, rate, wall_s,
-               daemon.using_epoll() ? "epoll" : "poll");
+               "%.0f sessions/s, %.2fs wall\n",
+               completed, opt.sessions, p50, p99, rate, wall_s);
   if (completed != opt.sessions || failed != 0) {
     std::fprintf(stderr, "micro_daemon: FAILED (%zu incomplete, %zu failed)\n",
                  opt.sessions - completed, failed);

@@ -1,7 +1,8 @@
 #include "netd/daemon.h"
 
 #include <chrono>
-#include <optional>
+
+#include <arpa/inet.h>
 
 namespace thinair::netd {
 
@@ -13,74 +14,51 @@ double monotonic_s() {
       .count();
 }
 
-}  // namespace
-
-Daemon::Daemon(DaemonConfig config)
-    : config_(std::move(config)),
-      socket_(UdpSocket::bind(config_.host, config_.port)),
-      hub_(config_.hub) {
-  poller_.add(socket_.fd());
+/// The hub's opaque address for an IPv4 peer: address << 16 | port, both
+/// in host byte order.
+std::uint64_t pack(const sockaddr_in& addr) {
+  return std::uint64_t{ntohl(addr.sin_addr.s_addr)} << 16 |
+         ntohs(addr.sin_port);
 }
 
-void Daemon::flush(std::vector<Outgoing>& out) {
-  for (const Outgoing& o : out) {
-    const auto it = peers_.find(PeerKey{o.session, o.node});
-    if (it == peers_.end()) continue;  // member never spoke: nowhere to send
-    (void)socket_.send_to(it->second, o.datagram);
-  }
+sockaddr_in unpack(std::uint64_t address) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(static_cast<std::uint32_t>(address >> 16));
+  addr.sin_port = htons(static_cast<std::uint16_t>(address));
+  return addr;
+}
+
+}  // namespace
+
+Daemon::Daemon(const DaemonConfig& config)
+    : socket_(UdpSocket::bind(config.host, config.port)), hub_(config.hub) {}
+
+void Daemon::send(std::vector<Outgoing>& out) {
+  for (const Outgoing& o : out) (void)socket_.send_to(unpack(o.to), o.datagram);
   out.clear();
 }
 
-void Daemon::run(const std::function<void()>& on_ready) {
-  // One loop thread at a time: claim the loop role for the body so every
-  // peer-book touch below is statically tied to this region.
-  util::RoleLock role(&loop_role_);
-  if (on_ready) on_ready();
-
-  std::vector<int> ready;
+void Daemon::run() {
   std::vector<std::uint8_t> buf;
   std::vector<Outgoing> out;
   sockaddr_in from{};
   double last_tick = monotonic_s();
-  double last_prune = last_tick;
 
   while (!stop_.load(std::memory_order_relaxed)) {
-    ready.clear();
     // Short timeout so stop() and the expiry tick are serviced promptly
     // even on a silent socket.
-    poller_.wait(50, ready);
-
+    const bool readable = socket_.wait_readable(50);
     const double now = monotonic_s();
-    if (!ready.empty()) {
-      // Drain until EAGAIN (level-triggered wake, non-blocking socket).
-      while (socket_.recv_from(buf, from)) {
-        const std::optional<PeerKey> sender = hub_.on_datagram(buf, now, out);
-        if (!sender.has_value()) continue;  // a decode error: no replies
-        // Learn/refresh the sender's address before its replies go out.
-        peers_[*sender] = from;
-        flush(out);
-        // Keep entries only while the hub tracks the session: frames for
-        // rejected or unknown sessions (spoofed floods included) must not
-        // grow the peer book, and a closed session's members are gone at
-        // once. The reply, if any, already went out above.
-        if (!hub_.has_session(sender->session))
-          peers_.erase(peers_.lower_bound(PeerKey{sender->session, 0}),
-                       peers_.upper_bound(PeerKey{sender->session, 0xFFFF}));
-        peer_entries_.store(peers_.size(), std::memory_order_relaxed);
-      }
+    // Drain until EAGAIN (the socket is non-blocking).
+    while (readable && socket_.recv_from(buf, from)) {
+      hub_.on_datagram(buf, pack(from), now, out);
+      send(out);
     }
     if (now - last_tick >= 0.1) {
       hub_.on_tick(now, out);
-      flush(out);
+      send(out);
       last_tick = now;
-    }
-    if (now - last_prune >= 5.0) {
-      // Drop peer-book entries whose session the hub has since closed.
-      for (auto it = peers_.begin(); it != peers_.end();)
-        it = hub_.has_session(it->first.session) ? std::next(it)
-                                                  : peers_.erase(it);
-      peer_entries_.store(peers_.size(), std::memory_order_relaxed);
-      last_prune = now;
     }
   }
 }

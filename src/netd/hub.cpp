@@ -13,11 +13,6 @@ namespace {
 /// Roster cap: the kTxReport delivery mask is one u32 bit per member.
 constexpr std::uint16_t kMaxMembers = 32;
 
-/// Relay ring depth per member (the kNack recovery horizon). A member that
-/// NACKs a seq already evicted from the ring gets kError immediately: the
-/// gap is unrecoverable.
-constexpr std::size_t kRelayWindow = 64;
-
 std::vector<std::uint8_t> message_payload(std::string_view text) {
   return {text.begin(), text.end()};
 }
@@ -25,35 +20,35 @@ std::vector<std::uint8_t> message_payload(std::string_view text) {
 }  // namespace
 
 /// The replies to one incoming datagram, appended to the caller's `out`.
-/// A frame joins the newest datagram already bound for its destination
-/// while that stays within kMaxDatagram, so each destination's frames keep
-/// their order and ride in as few datagrams as the cap allows. Datagrams
-/// from earlier calls are never touched.
+/// A frame joins the newest datagram already bound for its address while
+/// that stays within kMaxDatagram, so each address's frames keep their
+/// order and ride in as few datagrams as the cap allows. Datagrams from
+/// earlier calls are never touched.
 class SessionHub::Replies {
  public:
-  explicit Replies(std::vector<Outgoing>& out)
-      : out_(out), first_(out.size()) {}
+  Replies(std::vector<Outgoing>& out, std::uint64_t from)
+      : sender(from), out_(out), first_(out.size()) {}
 
-  void add(std::uint64_t session, std::uint16_t node, const Frame& frame) {
-    encode_into(frame, slot(session, node, kHeaderSize + frame.payload.size()));
+  void add(std::uint64_t to, const Frame& frame) {
+    encode_into(frame, slot(to, kHeaderSize + frame.payload.size()));
   }
-  void add(std::uint64_t session, std::uint16_t node,
-           std::span<const std::uint8_t> frame) {
-    std::vector<std::uint8_t>& datagram = slot(session, node, frame.size());
+  void add(std::uint64_t to, std::span<const std::uint8_t> frame) {
+    std::vector<std::uint8_t>& datagram = slot(to, frame.size());
     datagram.insert(datagram.end(), frame.begin(), frame.end());
   }
 
+  const std::uint64_t sender;  // the incoming datagram's address
+
  private:
-  /// The datagram to append `bytes` more bytes to for (session, node).
-  std::vector<std::uint8_t>& slot(std::uint64_t session, std::uint16_t node,
-                                  std::size_t bytes) {
+  /// The datagram to append `bytes` more bytes to for address `to`.
+  std::vector<std::uint8_t>& slot(std::uint64_t to, std::size_t bytes) {
     for (std::size_t i = out_.size(); i > first_; --i) {
       Outgoing& o = out_[i - 1];
-      if (o.session != session || o.node != node) continue;
+      if (o.to != to) continue;
       if (o.datagram.size() + bytes <= kMaxDatagram) return o.datagram;
       break;
     }
-    return out_.emplace_back(Outgoing{session, node, {}}).datagram;
+    return out_.emplace_back(Outgoing{to, {}}).datagram;
   }
 
   std::vector<Outgoing>& out_;
@@ -77,9 +72,9 @@ Frame SessionHub::make_control(FrameType type, std::uint64_t session,
   return f;
 }
 
-std::optional<PeerKey> SessionHub::on_datagram(
-    std::span<const std::uint8_t> bytes, double now_s,
-    std::vector<Outgoing>& out) {
+void SessionHub::on_datagram(std::span<const std::uint8_t> bytes,
+                             std::uint64_t from, double now_s,
+                             std::vector<Outgoing>& out) {
   stats_.datagrams_in.fetch_add(1, std::memory_order_relaxed);
   DecodeAllResult decoded = decode_all(bytes);
   std::vector<Frame>& frames = decoded.frames;
@@ -90,15 +85,20 @@ std::optional<PeerKey> SessionHub::on_datagram(
   if (frames.empty() ||
       std::any_of(frames.begin(), frames.end(), other_sender)) {
     stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return;
   }
 
-  Replies replies(out);
-  const std::uint32_t opening_aux = frames.front().header.aux;
+  Replies replies(out, from);
+  const FrameHeader& opening = frames.front().header;
+  const std::uint32_t opening_aux = opening.aux;
   util::MutexLock lock(&mu_);
+  // A member is wherever its latest datagram came from.
+  if (auto it = sessions_.find(opening.session); it != sessions_.end())
+    if (auto mit = it->second.members.find(opening.node);
+        mit != it->second.members.end())
+      mit->second.address = from;
   for (std::size_t i = 0; i < frames.size(); ++i)
     on_frame(frames[i], opening_aux, i == 0, now_s, replies);
-  return PeerKey{frames.front().header.session, frames.front().header.node};
 }
 
 void SessionHub::on_frame(Frame& f, std::uint32_t opening_aux, bool opens,
@@ -112,7 +112,7 @@ void SessionHub::on_frame(Frame& f, std::uint32_t opening_aux, bool opens,
     case FrameType::kCtrl: {
       auto it = sessions_.find(id);
       if (it == sessions_.end()) {
-        out.add(id, f.header.node,
+        out.add(out.sender,
                 make_control(FrameType::kExpired, id, f.header.node));
         return;
       }
@@ -132,8 +132,7 @@ void SessionHub::on_frame(Frame& f, std::uint32_t opening_aux, bool opens,
       if (it == sessions_.end()) {
         // Already gone (e.g. the final kBye echo was lost): re-echo so the
         // retransmitting client can finish.
-        out.add(id, f.header.node,
-                make_control(FrameType::kBye, id, f.header.node));
+        out.add(out.sender, make_control(FrameType::kBye, id, f.header.node));
         return;
       }
       it->second.last_active_s = now_s;
@@ -156,7 +155,7 @@ void SessionHub::handle_attach(const Frame& f, double now_s, Replies& out) {
   auto reply_error = [&](std::string_view why) {
     Frame e = make_control(FrameType::kError, id, node);
     e.payload = message_payload(why);
-    out.add(id, node, e);
+    out.add(out.sender, e);
   };
 
   auto it = sessions_.find(id);
@@ -179,7 +178,7 @@ void SessionHub::handle_attach(const Frame& f, double now_s, Replies& out) {
   Session& s = it->second;
   s.last_active_s = now_s;
 
-  auto send_ready = [&](std::uint16_t to) {
+  auto send_ready = [&](std::uint16_t to, const Member& member) {
     Frame r = make_control(FrameType::kReady, id, to);
     r.payload.reserve(2 + s.members.size() * 3);
     r.payload.push_back(static_cast<std::uint8_t>(s.members.size()));
@@ -189,15 +188,15 @@ void SessionHub::handle_attach(const Frame& f, double now_s, Replies& out) {
       r.payload.push_back(static_cast<std::uint8_t>(mid >> 8));
       r.payload.push_back(m.eve ? kFlagEve : 0);
     }
-    out.add(id, to, r);
+    out.add(member.address, r);
   };
 
   if (auto mit = s.members.find(node); mit != s.members.end()) {
     // Retransmitted attach: idempotent replay.
-    out.add(id, node,
+    out.add(out.sender,
             make_control(FrameType::kAttachOk, id, node,
                          static_cast<std::uint32_t>(s.members.size())));
-    if (s.ready) send_ready(node);
+    if (s.ready) send_ready(node, mit->second);
     return;
   }
   if (s.ready) {
@@ -210,23 +209,29 @@ void SessionHub::handle_attach(const Frame& f, double now_s, Replies& out) {
   }
 
   Member m;
+  m.address = out.sender;
   m.eve = (f.header.flags & kFlagEve) != 0;
   s.members.emplace(node, std::move(m));
-  out.add(id, node,
+  out.add(out.sender,
           make_control(FrameType::kAttachOk, id, node,
                        static_cast<std::uint32_t>(s.members.size())));
   if (s.members.size() == s.expected) {
     s.ready = true;
-    for (const auto& [mid, member] : s.members) send_ready(mid);
+    for (const auto& [mid, member] : s.members) send_ready(mid, member);
   }
 }
 
-void SessionHub::relay_to(std::uint64_t session_id, std::uint16_t node,
-                          Member& member, Frame& relay, Replies& out) {
+void SessionHub::relay_to(Member& member, Frame& relay, Replies& out) {
   relay.header.aux = member.next_relay_seq++;
-  member.ring.emplace_back(relay.header.aux, encode(relay));
-  out.add(session_id, node, member.ring.back().second);
-  while (member.ring.size() > kRelayWindow) member.ring.pop_front();
+  const std::vector<std::uint8_t>& wire =
+      member.ring.emplace_back(relay.header.aux, encode(relay)).second;
+  member.ring_bytes += wire.size();
+  out.add(member.address, wire);
+  // One frame never exceeds the window, so the newest relay stays.
+  while (member.ring_bytes > kRelayWindowBytes) {
+    member.ring_bytes -= member.ring.front().second.size();
+    member.ring.pop_front();
+  }
   stats_.frames_relayed.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -241,7 +246,7 @@ void SessionHub::handle_broadcast(Session& s, Frame& f,
     e.payload = message_payload(sit == s.members.end()
                                     ? "broadcast: unknown member"
                                     : "broadcast: session not ready");
-    out.add(id, source, e);
+    out.add(out.sender, e);
     return;
   }
   Member& sender = sit->second;
@@ -255,9 +260,8 @@ void SessionHub::handle_broadcast(Session& s, Frame& f,
     if (opens && stream_seq < sender.next_stream_seq &&
         stream_seq == sender.acked_first)
       for (std::size_t at = 0; at < sender.acks.size(); at += kHeaderSize)
-        out.add(id, source,
-                std::span<const std::uint8_t>(sender.acks)
-                    .subspan(at, kHeaderSize));
+        out.add(out.sender, std::span<const std::uint8_t>(sender.acks)
+                                .subspan(at, kHeaderSize));
     return;
   }
   ++sender.next_stream_seq;
@@ -285,7 +289,7 @@ void SessionHub::handle_broadcast(Session& s, Frame& f,
     }
     if (!lossy || !s.rng.bernoulli(config_.loss_p)) {
       mask |= (1u << bit);
-      relay_to(id, mid, member, f, out);
+      relay_to(member, f, out);
     }
     ++bit;
   }
@@ -293,7 +297,7 @@ void SessionHub::handle_broadcast(Session& s, Frame& f,
   if (lossy) ack.header.aux = mask;
   const std::size_t at = sender.acks.size();
   encode_into(ack, sender.acks);
-  out.add(id, source, std::span<const std::uint8_t>(sender.acks).subspan(at));
+  out.add(out.sender, std::span<const std::uint8_t>(sender.acks).subspan(at));
 }
 
 void SessionHub::handle_nack(Session& s, const Frame& f, Replies& out) {
@@ -311,12 +315,12 @@ void SessionHub::handle_nack(Session& s, const Frame& f, Replies& out) {
     Frame e = make_control(FrameType::kError, f.header.session, f.header.node);
     e.payload =
         message_payload("nack: relay history evicted (unrecoverable gap)");
-    out.add(f.header.session, f.header.node, e);
+    out.add(out.sender, e);
     return;
   }
   for (const auto& [seq, datagram] : member.ring) {
     if (seq < first_missing) continue;
-    out.add(f.header.session, f.header.node, datagram);
+    out.add(out.sender, datagram);
     stats_.nack_retransmits.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -326,7 +330,7 @@ void SessionHub::handle_bye(std::uint64_t id, Session& s, const Frame& f,
   auto it = s.members.find(f.header.node);
   if (it == s.members.end()) return;
   it->second.bye = true;
-  out.add(id, f.header.node, make_control(FrameType::kBye, id, f.header.node));
+  out.add(out.sender, make_control(FrameType::kBye, id, f.header.node));
   const bool all_done = std::all_of(
       s.members.begin(), s.members.end(),
       [](const auto& kv) { return kv.second.bye; });
@@ -345,8 +349,8 @@ void SessionHub::on_tick(double now_s, std::vector<Outgoing>& out) {
     }
     const std::uint64_t id = it->first;
     for (const auto& [mid, member] : it->second.members)
-      out.push_back({id, mid, encode(make_control(FrameType::kExpired, id,
-                                                  mid))});
+      out.push_back({member.address,
+                     encode(make_control(FrameType::kExpired, id, mid))});
     it = sessions_.erase(it);
     stats_.sessions_expired.fetch_add(1, std::memory_order_relaxed);
   }

@@ -27,11 +27,15 @@
 //
 // Every relay carries a per-receiver sequence number (aux) so receivers
 // detect UDP loss as a gap and recover via kNack from the hub's per-member
-// relay ring, which holds relays frame by frame.
+// relay ring, which keeps the newest kRelayWindowBytes of relays.
 //
-// The hub is sans-io: it consumes raw datagrams and emits datagrams
-// addressed by (session, node). The replies to one incoming datagram are
-// coalesced: the frames bound for one destination ride back to back, in
+// The hub is sans-io: it consumes raw datagrams, each with the opaque
+// transport address it came from, and emits datagrams addressed the same
+// way. The session table is the one record of where a member is: each
+// member's address is the one its latest datagram came from, and a reply
+// to anyone else (a non-member, a frame for an unknown or closed session)
+// goes back to the sender's address. The replies to one incoming datagram
+// are coalesced: the frames bound for one address ride back to back, in
 // order, in as few datagrams as kMaxDatagram allows. The UDP daemon
 // (daemon.h) and the in-process reference harness (tests) drive the same
 // code, which is what makes daemon runs comparable to in-process runs
@@ -42,7 +46,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -72,18 +75,9 @@ struct HubStats {
   alignas(64) std::atomic<std::uint64_t> nack_retransmits{0};
 };
 
-/// The (session, node) pair a datagram comes from or goes to.
-struct PeerKey {
-  std::uint64_t session = 0;
-  std::uint16_t node = 0;
-  friend auto operator<=>(const PeerKey&, const PeerKey&) = default;
-};
-
-/// A datagram the hub wants delivered to (session, node); the transport
-/// owns the mapping to an actual peer address.
+/// A datagram the hub wants delivered to the transport address `to`.
 struct Outgoing {
-  std::uint64_t session = 0;
-  std::uint16_t node = 0;
+  std::uint64_t to = 0;
   std::vector<std::uint8_t> datagram;
 };
 
@@ -93,16 +87,18 @@ class SessionHub {
   /// idle_timeout_s > 0.
   explicit SessionHub(HubConfig config);
 
-  /// Feed one received datagram; `now_s` is the transport's monotonic
-  /// clock (drives idle expiry only — the erasure draws depend on the
-  /// frame order alone). Responses are appended to `out`. Returns the
-  /// datagram's sender, or nothing when it did not decode or its frames
-  /// name more than one (session, node) pair (one decode error each).
-  std::optional<PeerKey> on_datagram(std::span<const std::uint8_t> bytes,
-                                     double now_s, std::vector<Outgoing>& out);
+  /// Feed one datagram received from transport address `from`, which the
+  /// hub never interprets (the daemon packs an IPv4 address and port into
+  /// it); `now_s` is the transport's monotonic clock (drives idle expiry
+  /// only — the erasure draws depend on the frame order alone). Responses
+  /// are appended to `out`. A datagram that does not decode, or whose
+  /// frames name more than one (session, node) pair, is one decode error
+  /// and draws no reply.
+  void on_datagram(std::span<const std::uint8_t> bytes, std::uint64_t from,
+                   double now_s, std::vector<Outgoing>& out);
 
   /// Expire, in session-id order, every session idle since
-  /// `now_s - idle_timeout_s`, emitting kExpired to its members.
+  /// `now_s - idle_timeout_s`, emitting kExpired to each member's address.
   void on_tick(double now_s, std::vector<Outgoing>& out);
 
   [[nodiscard]] const HubStats& stats() const { return stats_; }
@@ -119,6 +115,7 @@ class SessionHub {
   class Replies;  // coalesces the replies to one datagram (hub.cpp)
 
   struct Member {
+    std::uint64_t address = 0;  // where its latest datagram came from
     bool eve = false;
     bool bye = false;
     std::uint32_t next_relay_seq = 0;   // next seq this member will be sent
@@ -128,7 +125,10 @@ class SessionHub {
     // frames back to back), replayed when a copy of it arrives again.
     std::uint32_t acked_first = 0;
     std::vector<std::uint8_t> acks;
+    // Encoded relays by relay seq, oldest first, trimmed to
+    // kRelayWindowBytes of frames; ring_bytes is their total size.
     std::deque<std::pair<std::uint32_t, std::vector<std::uint8_t>>> ring;
+    std::size_t ring_bytes = 0;
   };
 
   struct Session {
@@ -155,9 +155,9 @@ class SessionHub {
   void handle_bye(std::uint64_t id, Session& s, const Frame& f, Replies& out)
       THINAIR_REQUIRES(mu_);
 
-  /// Relay `relay` to member `node`, stamping the per-member relay seq.
-  void relay_to(std::uint64_t session_id, std::uint16_t node, Member& member,
-                Frame& relay, Replies& out) THINAIR_REQUIRES(mu_);
+  /// Relay `relay` to `member`, stamping the per-member relay seq.
+  void relay_to(Member& member, Frame& relay, Replies& out)
+      THINAIR_REQUIRES(mu_);
 
   [[nodiscard]] static Frame make_control(FrameType type, std::uint64_t session,
                                           std::uint16_t node,

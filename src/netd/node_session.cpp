@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -18,6 +19,9 @@ namespace {
 
 /// Upper bound on N accepted from the wire (sanity, not a protocol limit).
 constexpr std::uint32_t kMaxUniverse = 4096;
+
+/// A frame's encoded size.
+std::size_t wire_size(const Frame& f) { return kHeaderSize + f.payload.size(); }
 
 /// A protocol frame of `round`: kData for an x-payload, kCtrl otherwise.
 Frame round_frame(WirePhase phase, std::uint32_t round,
@@ -56,6 +60,7 @@ void NodeSession::reset(NodeConfig config) {
   outbox_.clear();
   next_relay_ = 0;
   pending_relays_.clear();
+  pending_bytes_ = 0;
   last_rx_s_ = 0.0;
   last_probe_s_ = 0.0;
   attached_ = false;
@@ -273,12 +278,12 @@ void NodeSession::on_relay(const Frame& f, double now_s) {
   // kReady datagram or the kAttachOk (UDP reorders, or either is lost
   // outright), and deliver() needs the roster and the round in progress.
   if (state_ == State::kIdle || state_ == State::kJoining) {
-    pending_relays_.emplace(seq, f);
+    hold_relay(f);
     return;
   }
   if (seq > next_relay_) {
     // Gap: buffer and ask the hub to resend from the first missing seq.
-    pending_relays_.emplace(seq, f);
+    hold_relay(f);
     if (now_s - last_probe_s_ >= config_.rto_s / 2.0) {
       Frame nack;
       nack.header.type = static_cast<std::uint8_t>(FrameType::kNack);
@@ -293,16 +298,26 @@ void NodeSession::on_relay(const Frame& f, double now_s) {
   drain_relays();
 }
 
+void NodeSession::hold_relay(const Frame& f) {
+  if (!pending_relays_.try_emplace(f.header.aux, f).second) return;
+  pending_bytes_ += wire_size(f);
+  // Past the window, drop the highest seqs: they are the last to be due.
+  while (pending_bytes_ > kRelayWindowBytes) {
+    const auto last = std::prev(pending_relays_.end());
+    pending_bytes_ -= wire_size(last->second);
+    pending_relays_.erase(last);
+  }
+}
+
 void NodeSession::drain_relays() {
   auto it = pending_relays_.begin();
   while (it != pending_relays_.end() && state_ != State::kFailed) {
-    if (it->first < next_relay_) {
-      it = pending_relays_.erase(it);
-      continue;
+    if (it->first > next_relay_) break;
+    if (it->first == next_relay_) {
+      deliver(it->second);
+      ++next_relay_;
     }
-    if (it->first != next_relay_) break;
-    deliver(it->second);
-    ++next_relay_;
+    pending_bytes_ -= wire_size(it->second);
     it = pending_relays_.erase(it);
   }
 }

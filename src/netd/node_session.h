@@ -170,9 +170,10 @@ class NodeSession {
   void pump(double now_s);
   void on_hub_frame(const Frame& f, double now_s);
   void on_relay(const Frame& f, double now_s);
-  void drain_relays();           // deliver buffered in-order relays
-  void deliver(const Frame& f);  // in-order relayed frame
-  void maybe_run();              // kJoining -> kRunning: round 0 begins
+  void hold_relay(const Frame& f);  // buffer a relay that cannot go yet
+  void drain_relays();              // deliver buffered in-order relays
+  void deliver(const Frame& f);     // in-order relayed frame
+  void maybe_run();                 // kJoining -> kRunning: round 0 begins
   void begin_round();
   void start_alice_round();
   void finish_alice_round();
@@ -205,9 +206,13 @@ class NodeSession {
   std::size_t retries_ = 0;
   std::deque<std::vector<std::uint8_t>> outbox_;
 
-  // Incoming: ordered relay stream reassembly.
+  // Incoming: ordered relay stream reassembly. Relays that cannot be
+  // delivered yet wait in pending_relays_, lowest seqs first, up to
+  // kRelayWindowBytes of encoded frames (pending_bytes_); the rest are
+  // dropped, and the hub replays them on kNack.
   std::uint32_t next_relay_ = 0;
   std::map<std::uint32_t, Frame> pending_relays_;
+  std::size_t pending_bytes_ = 0;
   double last_rx_s_ = 0.0;
   double last_probe_s_ = 0.0;
 

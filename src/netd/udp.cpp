@@ -100,7 +100,11 @@ bool UdpSocket::recv_from(std::vector<std::uint8_t>& buf, sockaddr_in& from) {
 bool UdpSocket::wait_readable(int timeout_ms) {
   pollfd p{fd_, POLLIN, 0};
   const int n = ::poll(&p, 1, timeout_ms);
-  return n > 0 && (p.revents & POLLIN) != 0;
+  if (n < 0 && errno != EINTR) throw_errno("poll");
+  // Any event counts, an error (POLLERR, POLLNVAL) too: the caller's
+  // recv_from() then reports it, where skipping the read would leave
+  // poll() returning at once, a busy loop.
+  return n > 0;
 }
 
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {

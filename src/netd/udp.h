@@ -39,7 +39,10 @@ class UdpSocket {
   /// pending.
   bool recv_from(std::vector<std::uint8_t>& buf, sockaddr_in& from);
 
-  /// Block up to timeout_ms for readability (poll on this fd only).
+  /// Block up to timeout_ms until recv_from() has something to report: a
+  /// datagram or a socket error. Returns false on timeout or when a signal
+  /// interrupts the wait; throws std::system_error when poll fails
+  /// otherwise.
   bool wait_readable(int timeout_ms);
 
  private:

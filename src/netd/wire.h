@@ -45,6 +45,11 @@ inline constexpr std::size_t kMaxPayload = 65475;
 /// smaller frames back to back. Datagrams past ~1.4 KiB IP-fragment off
 /// loopback.
 inline constexpr std::size_t kMaxDatagram = kHeaderSize + kMaxPayload;
+/// The relay stream's recovery horizon, in encoded frame bytes: the hub
+/// keeps each member's newest relays up to this total for kNack replay,
+/// and a member holds out-of-order relays up to the same total. Several
+/// full datagrams, so losing any one datagram of relays is recoverable.
+inline constexpr std::size_t kRelayWindowBytes = 4 * kMaxDatagram;
 
 /// Every kind of frame the daemon or a client can emit.
 enum class FrameType : std::uint8_t {

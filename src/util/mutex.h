@@ -10,14 +10,6 @@
 //   util::MutexLock  — lock_guard with THINAIR_SCOPED_CAPABILITY, so the
 //                      analysis knows the region between construction and
 //                      destruction holds the mutex.
-//   util::Role       — a capability with no runtime state at all, for
-//                      single-owner data: a region that calls acquire()
-//                      claims the role (e.g. "I am the event loop"),
-//                      and THINAIR_GUARDED_BY(role_) turns any touch
-//                      outside such a region into a compile error. The
-//                      happens-before edge itself comes from elsewhere
-//                      (thread join, ctor ordering); the role makes the
-//                      ownership *structure* checkable.
 
 #include <mutex>
 
@@ -52,34 +44,6 @@ class THINAIR_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-/// A zero-size, zero-cost capability for single-owner state (see the
-/// header comment). acquire()/release() are no-ops at runtime; they exist
-/// so a code region can claim the role in a way the analysis tracks.
-class THINAIR_CAPABILITY("role") Role {
- public:
-  Role() = default;
-  Role(const Role&) = delete;
-  Role& operator=(const Role&) = delete;
-
-  void acquire() const THINAIR_ACQUIRE() {}
-  void release() const THINAIR_RELEASE() {}
-};
-
-/// RAII claim of a Role for the current scope.
-class THINAIR_SCOPED_CAPABILITY RoleLock {
- public:
-  explicit RoleLock(const Role* role) THINAIR_ACQUIRE(role) : role_(role) {
-    role_->acquire();
-  }
-  ~RoleLock() THINAIR_RELEASE() { role_->release(); }
-
-  RoleLock(const RoleLock&) = delete;
-  RoleLock& operator=(const RoleLock&) = delete;
-
- private:
-  const Role* role_;
 };
 
 }  // namespace thinair::util

@@ -15,12 +15,6 @@
 // interleavings that happened to execute, the analysis proves the locking
 // argument for every path the compiler can see. See
 // docs/static-analysis.md for how the layers fit together.
-//
-// Capabilities are not only mutexes — util/mutex.h also defines
-// util::Role, a no-op capability for single-owner state (e.g. "only the
-// daemon's event-loop thread touches this"): acquiring the role marks the code region
-// that claims ownership, and GUARDED_BY makes stray touches a compile
-// error even though nothing is locked at runtime.
 
 #if defined(__clang__) && !defined(SWIG)
 #define THINAIR_THREAD_ANNOTATION(x) __attribute__((x))
@@ -28,7 +22,7 @@
 #define THINAIR_THREAD_ANNOTATION(x)  // no-op off clang
 #endif
 
-/// A type that models a capability (util::Mutex, util::Role).
+/// A type that models a capability (util::Mutex).
 #define THINAIR_CAPABILITY(x) THINAIR_THREAD_ANNOTATION(capability(x))
 
 /// An RAII type whose lifetime equals a region holding a capability.

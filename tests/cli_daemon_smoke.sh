@@ -3,7 +3,9 @@
 # start thinaird on an ephemeral port, run one `thinair client` process per
 # terminal, and require every process to print the identical key. One
 # group runs fig1's N = 200, whose announcements need datagrams far past
-# 8 KiB.
+# 8 KiB. The daemon's readiness line must keep the shape perfbench's
+# daemon workload parses, and SIGINT and SIGTERM must each end a daemon
+# with exit status 0.
 #
 #   usage: cli_daemon_smoke.sh /path/to/thinair
 set -u
@@ -23,18 +25,37 @@ fail() {
   exit 1
 }
 
-"$THINAIR" serve --port 0 --seed 2026 >"$WORK/serve.log" 2>&1 &
-SERVE_PID=$!
+# start_daemon LOG: serve on an ephemeral port, logging to LOG; sets
+# SERVE_PID and PORT. The readiness line is the log's first line,
+# "thinaird listening on HOST:PORT", read as the port after its last ':'.
+start_daemon() {
+  local log=$1 ready
+  "$THINAIR" serve --port 0 --seed 2026 >"$log" 2>&1 &
+  SERVE_PID=$!
+  for _ in $(seq 50); do
+    [ "$(wc -l <"$log")" -gt 0 ] && break
+    kill -0 "$SERVE_PID" 2>/dev/null || fail "daemon exited during startup"
+    sleep 0.1
+  done
+  ready=$(head -n 1 "$log")
+  [ -n "$ready" ] || fail "daemon never reported its port"
+  [[ "$ready" =~ ^thinaird\ listening\ on\ [^\ ]+:[0-9]+$ ]] ||
+    fail "readiness line is not 'thinaird listening on HOST:PORT': $ready"
+  PORT=${ready##*:}
+}
 
-PORT=
-for _ in $(seq 50); do
-  PORT=$(grep -oE 'listening on [0-9.]+:[0-9]+' "$WORK/serve.log" 2>/dev/null |
-         grep -oE '[0-9]+$')
-  [ -n "$PORT" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || fail "daemon exited during startup"
-  sleep 0.1
-done
-[ -n "$PORT" ] || fail "daemon never reported its port"
+# stop_daemon SIGNAL LOG: the daemon must exit 0 and report its counters.
+stop_daemon() {
+  local rc=0
+  kill -"$1" "$SERVE_PID"
+  wait "$SERVE_PID" || rc=$?
+  SERVE_PID=
+  [ "$rc" -eq 0 ] || fail "daemon exited with status $rc on SIG$1"
+  grep -qE '^thinaird: [0-9]+ datagrams' "$2" ||
+    fail "daemon reported no counters on SIG$1"
+}
+
+start_daemon "$WORK/serve.log"
 
 # run_group SESSION MEMBERS [CLIENT FLAGS...]
 run_group() {
@@ -70,5 +91,9 @@ run_group() {
 run_group 21 2
 run_group 41 4
 run_group 61 2 --packets 200
+stop_daemon INT "$WORK/serve.log"
+
+start_daemon "$WORK/serve_term.log"
+stop_daemon TERM "$WORK/serve_term.log"
 
 echo "PASS"

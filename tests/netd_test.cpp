@@ -2,9 +2,14 @@
 // SessionHub with no sockets involved. Covers multi-party key equality,
 // cross-run determinism, keys pinned to a recorded digest, heavy loss,
 // relay loss + kNack recovery, the eavesdropper attach, roster-size
-// checks, idle expiry through the on_tick scan, the hub counters, fig1's
-// N, a member's memory under a flood of out-of-range seqs, and a hostile
-// member whose control payloads arrive mutated.
+// checks, idle expiry through the on_tick scan, the hub counters, reply
+// addressing, fig1's N (with a lost datagram of relays), a member's memory
+// under floods of out-of-range seqs and of relays past a gap, and a
+// hostile member whose control payloads arrive mutated.
+//
+// The hub sees each datagram's transport address as an opaque number;
+// here a member sends from, and is reached at, the address equal to its
+// node id.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,6 +55,7 @@ class LoopHarness {
 
   void add_node(NodeConfig config) {
     index_of_[config.node] = nodes_.size();
+    address_.push_back(config.node);
     nodes_.push_back(std::make_unique<NodeSession>(config));
   }
 
@@ -111,25 +117,27 @@ class LoopHarness {
         any = true;
         if (rewrite_to_hub) rewrite_to_hub(dgram);
         if (drop_to_hub && drop_to_hub(dgram)) continue;
-        to_hub(dgram);
-        if (duplicate_to_hub && duplicate_to_hub(dgram)) to_hub(dgram);
-        for (const auto& stale : std::exchange(held_[i], {})) to_hub(stale);
+        to_hub(dgram, address_[i]);
+        if (duplicate_to_hub && duplicate_to_hub(dgram))
+          to_hub(dgram, address_[i]);
+        for (const auto& stale : std::exchange(held_[i], {}))
+          to_hub(stale, address_[i]);
         if (hold_to_hub && hold_to_hub(dgram)) held_[i].push_back(dgram);
       }
     }
     return any;
   }
 
-  void to_hub(const std::vector<std::uint8_t>& dgram) {
+  void to_hub(const std::vector<std::uint8_t>& dgram, std::uint64_t from) {
     std::vector<Outgoing> out;
-    hub.on_datagram(dgram, now_, out);
+    hub.on_datagram(dgram, from, now_, out);
     route(out);
   }
 
   void route(const std::vector<Outgoing>& out) {
     for (const Outgoing& o : out) {
       if (drop_to_client && drop_to_client(o)) continue;
-      const auto it = index_of_.find(o.node);
+      const auto it = index_of_.find(o.to);
       if (it != index_of_.end())
         nodes_[it->second]->on_datagram(o.datagram, now_);
     }
@@ -142,7 +150,8 @@ class LoopHarness {
   }
 
   std::vector<std::unique_ptr<NodeSession>> nodes_;
-  std::map<std::uint16_t, std::size_t> index_of_;
+  std::vector<std::uint64_t> address_;             // per node: its node id
+  std::map<std::uint64_t, std::size_t> index_of_;  // by address
   std::vector<std::vector<std::vector<std::uint8_t>>> held_;  // per node
   double now_ = 0.0;
 };
@@ -490,6 +499,39 @@ TEST(NetdNode, OutOfRangeSeqsLeaveTheHeapBounded) {
   }
 }
 
+// Relays past a gap wait for it to fill, up to kRelayWindowBytes of
+// frames; the hub replays the rest on kNack. So 100,000 relays at relay
+// seqs 1-100,000 (seq 0 never comes), which anyone who knows a member's
+// port and session id can send, leave the member's heap bounded. Holding
+// them all once grew it by 14.4 MB.
+TEST(NetdNode, RelaysPastAGapLeaveTheHeapBounded) {
+  NodeSession bob(make_node(1, 2));
+  join_session(bob);
+  Frame relay;
+  relay.header.type = static_cast<std::uint8_t>(FrameType::kRelay);
+  relay.header.session = 0xA11CE;
+  relay.header.phase = static_cast<std::uint8_t>(WirePhase::kXData);
+  relay.payload.assign(16, 0xAB);
+  std::vector<std::uint8_t> dgram;
+  dgram.reserve(kMaxDatagram);
+  const std::optional<std::size_t> before = heap_in_use();
+
+  for (std::uint32_t seq = 1; seq <= 100000; ++seq) {
+    if (dgram.size() + kHeaderSize + relay.payload.size() > kMaxDatagram) {
+      bob.on_datagram(dgram, 0.1);
+      dgram.clear();
+    }
+    relay.header.seq = seq % 16;
+    relay.header.aux = seq;
+    encode_into(relay, dgram);
+  }
+  bob.on_datagram(dgram, 0.1);
+  EXPECT_EQ(bob.state(), NodeSession::State::kRunning) << bob.error();
+  if (before) {
+    EXPECT_LT(*heap_in_use(), *before + 4 * kRelayWindowBytes);
+  }
+}
+
 // Applies `edit` to every kCtrl frame in a datagram `node` sent, keeping
 // the datagram's framing.
 template <typename Edit>
@@ -644,6 +686,44 @@ TEST(NetdLoop, KeysAgreeAtThePapersN) {
     }
 }
 
+// One lost datagram of relays is recoverable at fig1's N: a round's
+// x-relays to a receiver ride in one datagram of about 160 frames, and
+// the kNack that follows its loss once found most of them evicted from a
+// relay ring 64 frames deep, which ended the whole group.
+TEST(NetdLoop, RecoversALostDatagramOfRelaysAtThePapersN) {
+  for (std::uint16_t members = 2; members <= 4; ++members) {
+    SCOPED_TRACE(std::to_string(members) + " members");
+    HubConfig hc;
+    hc.loss_p = 0.2;
+    LoopHarness h{hc};
+    for (std::uint16_t id = 0; id < members; ++id) {
+      NodeConfig c = make_node(id, members);
+      c.x_packets_per_round = 200;
+      h.add_node(c);
+    }
+    std::size_t dropped = 0;  // x-relays in the one dropped datagram
+    h.drop_to_client = [&dropped](const Outgoing& o) {
+      if (dropped > 0) return false;
+      const std::vector<Frame> frames = decode_all(o.datagram).frames;
+      const auto x_relays = static_cast<std::size_t>(
+          std::count_if(frames.begin(), frames.end(), [](const Frame& f) {
+            return f.header.type ==
+                       static_cast<std::uint8_t>(FrameType::kRelay) &&
+                   f.header.phase ==
+                       static_cast<std::uint8_t>(WirePhase::kXData);
+          }));
+      if (x_relays < 100) return false;
+      dropped = x_relays;
+      return true;
+    };
+    ASSERT_TRUE(h.run());
+    EXPECT_GT(dropped, 64u);
+    EXPECT_GT(h.hub.stats().nack_retransmits.load(), 64u);
+    for (std::size_t i = 1; i < h.size(); ++i)
+      EXPECT_EQ(h.node(i).secret(), h.node(0).secret()) << "node " << i;
+  }
+}
+
 // Pins the hub's erasure draws across versions. Fixed-seed groups at four
 // loss rates and roster sizes 2-5 run to completion; every member's key
 // is hashed in run order. The digest is a recorded constant, not computed
@@ -698,7 +778,7 @@ TEST(NetdHub, EveAttachListensWithoutJoiningRoster) {
   eve.header.node = 2;
   eve.header.aux = 3;
   std::vector<Outgoing> out;
-  h.hub.on_datagram(encode(eve), 0.0, out);
+  h.hub.on_datagram(encode(eve), 2, 0.0, out);
 
   // (source node, phase, round, seq) of each distinct terminal broadcast.
   using Key = std::tuple<std::uint16_t, std::uint8_t, std::uint32_t,
@@ -717,7 +797,7 @@ TEST(NetdHub, EveAttachListensWithoutJoiningRoster) {
     return false;
   };
   h.drop_to_client = [&](const Outgoing& o) {
-    if (o.node != 2) return false;
+    if (o.to != 2) return false;
     for (const Frame& f : decode_all(o.datagram).frames) {
       const FrameHeader& hd = f.header;
       if (hd.type != static_cast<std::uint8_t>(FrameType::kRelay)) continue;
@@ -746,7 +826,7 @@ TEST(NetdHub, NackPastRingRepliesError) {
   std::vector<Outgoing> out;
   auto send = [&](const Frame& f) {
     out.clear();
-    hub.on_datagram(encode(f), 0.0, out);
+    hub.on_datagram(encode(f), f.header.node, 0.0, out);
   };
 
   Frame attach;
@@ -758,15 +838,18 @@ TEST(NetdHub, NackPastRingRepliesError) {
   attach.header.node = 1;
   send(attach);
 
-  // 68 reliable broadcasts from node 0, at stream seqs 0-67: node 1's
-  // relay ring (depth 64) evicts relay seqs 0-3.
-  for (std::uint32_t i = 0; i < 68; ++i) {
+  // Reliable broadcasts of the largest frame from node 0, two more than
+  // node 1's relay ring holds (kRelayWindowBytes): the ring evicts relay
+  // seqs 0 and 1.
+  constexpr std::uint32_t kFrames = kRelayWindowBytes / kMaxDatagram + 2;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
     Frame ctrl;
     ctrl.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
     ctrl.header.session = 5;
     ctrl.header.node = 0;
     ctrl.header.seq = i;
     ctrl.header.aux = i;
+    ctrl.payload.assign(kMaxPayload, static_cast<std::uint8_t>(i));
     send(ctrl);
   }
 
@@ -784,20 +867,20 @@ TEST(NetdHub, NackPastRingRepliesError) {
     ASSERT_FALSE(d.frames.empty());
     for (const Frame& f : d.frames)
       if (static_cast<FrameType>(f.header.type) == FrameType::kError &&
-          o.node == 1)
+          o.to == 1)
         saw_error = true;
   }
   EXPECT_TRUE(saw_error);
 
   // A NACK still inside the ring retransmits the tail as before.
-  nack.header.aux = 66;
+  nack.header.aux = kFrames - 2;
   send(nack);
   std::size_t relays = 0;
   for (const Outgoing& o : out)
     for (const Frame& f : decode_all(o.datagram).frames)
       if (static_cast<FrameType>(f.header.type) == FrameType::kRelay)
         ++relays;
-  EXPECT_EQ(relays, 2u) << "expected seqs 66 and 67 resent";
+  EXPECT_EQ(relays, 2u) << "expected the last two seqs resent";
 }
 
 // The replies to one datagram are coalesced per destination; a lone
@@ -816,7 +899,7 @@ TEST(NetdHub, RepliesCoalescePerDestination) {
   attach.header.type = static_cast<std::uint8_t>(FrameType::kAttach);
   attach.header.session = 5;
   attach.header.aux = 2;
-  hub.on_datagram(encode(attach), 0.0, out);
+  hub.on_datagram(encode(attach), 0, 0.0, out);
   ASSERT_EQ(out.size(), 1u);
   const DecodeResult ok = decode(out[0].datagram);
   ASSERT_TRUE(ok.frame.has_value());
@@ -825,12 +908,12 @@ TEST(NetdHub, RepliesCoalescePerDestination) {
 
   out.clear();
   attach.header.node = 1;
-  hub.on_datagram(encode(attach), 0.0, out);
+  hub.on_datagram(encode(attach), 1, 0.0, out);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].node, 1);
+  EXPECT_EQ(out[0].to, 1u);
   EXPECT_EQ(frame_types(out[0]),
             (std::vector<FrameType>{FrameType::kAttachOk, FrameType::kReady}));
-  EXPECT_EQ(out[1].node, 0);
+  EXPECT_EQ(out[1].to, 0u);
   EXPECT_EQ(frame_types(out[1]), std::vector<FrameType>{FrameType::kReady});
 
   // Three reliable broadcasts in one datagram: one datagram of three acks
@@ -846,14 +929,72 @@ TEST(NetdHub, RepliesCoalescePerDestination) {
     encode_into(ctrl, burst);
   }
   out.clear();
-  hub.on_datagram(burst, 0.0, out);
+  hub.on_datagram(burst, 0, 0.0, out);
   ASSERT_EQ(out.size(), 2u);
   const auto [to_peer, to_sender] =
-      out[0].node == 1 ? std::pair{out[0], out[1]} : std::pair{out[1], out[0]};
+      out[0].to == 1 ? std::pair{out[0], out[1]} : std::pair{out[1], out[0]};
   EXPECT_EQ(frame_types(to_sender), std::vector<FrameType>(
                                         3, FrameType::kCtrlAck));
   EXPECT_EQ(frame_types(to_peer), std::vector<FrameType>(3, FrameType::kRelay));
   EXPECT_EQ(hub.stats().frames_relayed.load(), 3u);
+}
+
+// The hub is the one record of where a member is: a reply to a member goes
+// to the address its latest datagram came from, and a reply to anyone
+// else goes back to the address of the datagram that drew it.
+TEST(NetdHub, RepliesGoWhereEachSenderIs) {
+  SessionHub hub(HubConfig{});
+  using Sent = std::vector<std::pair<std::uint64_t, std::vector<FrameType>>>;
+  std::vector<Outgoing> out;
+  // (address, frame types) of each datagram in `out`.
+  const auto sent = [&out] {
+    Sent got;
+    for (const Outgoing& o : out) {
+      got.emplace_back(o.to, std::vector<FrameType>{});
+      for (const Frame& f : decode_all(o.datagram).frames)
+        got.back().second.push_back(static_cast<FrameType>(f.header.type));
+    }
+    return got;
+  };
+  const auto send = [&](FrameType type, std::uint64_t session,
+                        std::uint16_t node, std::uint32_t aux,
+                        std::uint64_t from) {
+    Frame f;
+    f.header.type = static_cast<std::uint8_t>(type);
+    f.header.session = session;
+    f.header.node = node;
+    f.header.aux = aux;
+    out.clear();
+    hub.on_datagram(encode(f), from, 0.0, out);
+    return sent();
+  };
+  constexpr std::uint64_t kA = 101, kB = 102, kMoved = 103, kStranger = 104;
+
+  // Two members attach from their own addresses, and each hears there.
+  EXPECT_EQ(send(FrameType::kAttach, 5, 0, 2, kA),
+            (Sent{{kA, {FrameType::kAttachOk}}}));
+  EXPECT_EQ(send(FrameType::kAttach, 5, 1, 2, kB),
+            (Sent{{kB, {FrameType::kAttachOk, FrameType::kReady}},
+                  {kA, {FrameType::kReady}}}));
+
+  // Node 0 moves: its ack, and the next relay to it, go to the new address.
+  EXPECT_EQ(send(FrameType::kCtrl, 5, 0, 0, kMoved),
+            (Sent{{kB, {FrameType::kRelay}}, {kMoved, {FrameType::kCtrlAck}}}));
+  EXPECT_EQ(send(FrameType::kCtrl, 5, 1, 0, kB),
+            (Sent{{kMoved, {FrameType::kRelay}}, {kB, {FrameType::kCtrlAck}}}));
+
+  // A non-member's kData, and a frame for an unknown session, are answered
+  // where they came from, and move no member.
+  EXPECT_EQ(send(FrameType::kData, 5, 7, 0, kStranger),
+            (Sent{{kStranger, {FrameType::kError}}}));
+  EXPECT_EQ(send(FrameType::kData, 6, 0, 0, kStranger),
+            (Sent{{kStranger, {FrameType::kExpired}}}));
+
+  // Expiry reaches each member at its last address.
+  out.clear();
+  hub.on_tick(HubConfig{}.idle_timeout_s + 1.0, out);
+  EXPECT_EQ(sent(), (Sent{{kMoved, {FrameType::kExpired}},
+                          {kB, {FrameType::kExpired}}}));
 }
 
 // One datagram, one sender: a datagram whose frames name two (session,
@@ -867,7 +1008,7 @@ TEST(NetdHub, MixedSenderDatagramIsOneDecodeError) {
   attach.header.aux = 2;
   for (std::uint16_t node = 0; node < 2; ++node) {
     attach.header.node = node;
-    hub.on_datagram(encode(attach), 0.0, out);
+    hub.on_datagram(encode(attach), node, 0.0, out);
   }
 
   Frame ctrl;
@@ -886,17 +1027,15 @@ TEST(NetdHub, MixedSenderDatagramIsOneDecodeError) {
   std::uint64_t errors = 0;
   for (const auto& dgram : {pair_of(5, 1), pair_of(6, 0)}) {
     out.clear();
-    EXPECT_FALSE(hub.on_datagram(dgram, 0.0, out).has_value());
+    hub.on_datagram(dgram, 0, 0.0, out);
     EXPECT_EQ(hub.stats().decode_errors.load(), ++errors);
     EXPECT_TRUE(out.empty());
   }
   EXPECT_EQ(hub.stats().frames_relayed.load(), 0u);
 
   out.clear();
-  const std::optional<PeerKey> sender =
-      hub.on_datagram(pair_of(5, 0), 0.0, out);
-  ASSERT_TRUE(sender.has_value());
-  EXPECT_EQ(*sender, (PeerKey{5, 0}));
+  hub.on_datagram(pair_of(5, 0), 0, 0.0, out);
+  EXPECT_FALSE(out.empty());
   EXPECT_EQ(hub.stats().decode_errors.load(), errors);
   EXPECT_EQ(hub.stats().frames_relayed.load(), 2u);
 }
@@ -912,7 +1051,7 @@ TEST(NetdHub, SessionExpiresWhenIdle) {
   attach.header.node = 0;
   attach.header.aux = 2;  // expect a second member that never arrives
   std::vector<Outgoing> out;
-  hub.on_datagram(encode(attach), 0.0, out);
+  hub.on_datagram(encode(attach), 0, 0.0, out);
   ASSERT_EQ(hub.session_count(), 1u);
 
   out.clear();
@@ -928,7 +1067,7 @@ TEST(NetdHub, SessionExpiresWhenIdle) {
     const DecodeResult d = decode(o.datagram);
     ASSERT_TRUE(d.frame.has_value());
     if (static_cast<FrameType>(d.frame->header.type) == FrameType::kExpired &&
-        o.node == 0 && o.session == 99)
+        d.frame->header.node == 0 && d.frame->header.session == 99)
       saw_expired = true;
   }
   EXPECT_TRUE(saw_expired);
@@ -945,14 +1084,14 @@ TEST(NetdHub, ActivityDefersExpiry) {
   attach.header.node = 0;
   attach.header.aux = 2;
   std::vector<Outgoing> out;
-  hub.on_datagram(encode(attach), 0.0, out);
+  hub.on_datagram(encode(attach), 0, 0.0, out);
 
   // Keep touching the session: re-attach (idempotent) every 0.6s. Each
   // touch pushes the idle deadline back, so no tick may expire it.
   for (int i = 1; i <= 5; ++i) {
     out.clear();
     hub.on_tick(0.6 * i, out);
-    hub.on_datagram(encode(attach), 0.6 * i, out);
+    hub.on_datagram(encode(attach), 0, 0.6 * i, out);
     ASSERT_EQ(hub.session_count(), 1u) << "expired at t=" << 0.6 * i;
   }
   out.clear();
@@ -994,7 +1133,7 @@ TEST(NetdHub, RejectsGarbageAndCountsIt) {
   SessionHub hub(HubConfig{});
   std::vector<Outgoing> out;
   const std::vector<std::uint8_t> garbage = {0xDE, 0xAD, 0xBE, 0xEF};
-  hub.on_datagram(garbage, 0.0, out);
+  hub.on_datagram(garbage, 0, 0.0, out);
   EXPECT_EQ(hub.stats().decode_errors.load(), 1u);
   EXPECT_TRUE(out.empty());
 }
@@ -1019,12 +1158,13 @@ TEST(NetdHub, AttachByeChurnClosesEverySession) {
     const std::uint64_t id = 1 + i;
     for (std::uint16_t node = 0; node < 2; ++node) {
       out.clear();
-      hub.on_datagram(control(FrameType::kAttach, id, node, 2), 0.0, out);
+      hub.on_datagram(control(FrameType::kAttach, id, node, 2), node, 0.0,
+                      out);
     }
     ASSERT_EQ(hub.session_count(), 1u);
     for (std::uint16_t node = 0; node < 2; ++node) {
       out.clear();
-      hub.on_datagram(control(FrameType::kBye, id, node, 0), 0.0, out);
+      hub.on_datagram(control(FrameType::kBye, id, node, 0), node, 0.0, out);
     }
     ASSERT_EQ(hub.session_count(), 0u);
   }
@@ -1045,7 +1185,7 @@ TEST(NetdHub, AttachRejectsRosterSizePastSixteenBits) {
   for (std::uint16_t node = 0; node < 2; ++node) {
     attach.header.node = node;
     out.clear();
-    hub.on_datagram(encode(attach), 0.0, out);
+    hub.on_datagram(encode(attach), node, 0.0, out);
     ASSERT_EQ(out.size(), 1u) << "node " << node;
     const DecodeResult d = decode(out[0].datagram);
     ASSERT_TRUE(d.frame.has_value());
@@ -1069,7 +1209,7 @@ std::vector<std::uint8_t> pump_pair(SessionHub& hub, NodeSession& n0,
   std::vector<Outgoing> out;
   const auto route = [&](const std::vector<Outgoing>& msgs) {
     for (const Outgoing& o : msgs)
-      if (o.node < 2) nodes[o.node]->on_datagram(o.datagram, now);
+      if (o.to < 2) nodes[o.to]->on_datagram(o.datagram, now);
   };
   n0.start(now);
   n1.start(now);
@@ -1077,11 +1217,11 @@ std::vector<std::uint8_t> pump_pair(SessionHub& hub, NodeSession& n0,
     bool any = true;
     while (any) {
       any = false;
-      for (NodeSession* n : nodes)
-        while (n->poll_datagram(dgram)) {
+      for (std::uint64_t from = 0; from < 2; ++from)
+        while (nodes[from]->poll_datagram(dgram)) {
           any = true;
           out.clear();
-          hub.on_datagram(dgram, now, out);
+          hub.on_datagram(dgram, from, now, out);
           route(out);
         }
     }

@@ -236,8 +236,7 @@ def daemon_datagrams_per_session(base, fresh):
 DAEMON = Bench(
     keys=("sessions", "requested_sessions", "completed",
           "with_nonzero_secret", "p50_time_to_key_ms", "p99_time_to_key_ms",
-          "sessions_per_s", "wall_s", "datagrams_in", "frames_relayed",
-          "epoll"),
+          "sessions_per_s", "wall_s", "datagrams_in", "frames_relayed"),
     rules=[
         Rule(lambda b, f: not (f["completed"] == f["sessions"]
                                == f["requested_sessions"])

@@ -71,16 +71,16 @@ int cmd_serve(int argc, char** argv) {
     }
   }
   try {
-    netd::Daemon daemon(config);
+    netd::Daemon daemon(config);  // bound: clients may send from here on
     g_daemon = &daemon;
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
-    daemon.run([&] {
-      // Parse-friendly readiness line (the smoke test greps the port).
-      std::printf("thinaird listening on %s:%u (%s)\n", config.host.c_str(),
-                  daemon.port(), daemon.using_epoll() ? "epoll" : "poll");
-      std::fflush(stdout);
-    });
+    // The readiness line: readers take the port after its last ':'
+    // (cli_daemon_smoke checks the shape).
+    std::printf("thinaird listening on %s:%u\n", config.host.c_str(),
+                daemon.port());
+    std::fflush(stdout);
+    daemon.run();
     g_daemon = nullptr;
     const netd::HubStats& s = daemon.hub().stats();
     std::fprintf(stderr,
