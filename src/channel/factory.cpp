@@ -14,22 +14,6 @@ std::string_view to_string(ChannelModelKind kind) {
   return "unknown";
 }
 
-std::optional<ChannelModelKind> channel_model_from_string(
-    std::string_view name) {
-  for (const ChannelModelKind kind :
-       {ChannelModelKind::kIid, ChannelModelKind::kPerLink,
-        ChannelModelKind::kTestbed})
-    if (name == to_string(kind)) return kind;
-  return std::nullopt;
-}
-
-const std::vector<std::string_view>& channel_model_names() {
-  static const std::vector<std::string_view> names = {
-      to_string(ChannelModelKind::kIid), to_string(ChannelModelKind::kPerLink),
-      to_string(ChannelModelKind::kTestbed)};
-  return names;
-}
-
 namespace {
 
 void check_probability(double p, const char* what) {

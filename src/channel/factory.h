@@ -4,13 +4,12 @@
 // The declarative scenario layer (runtime/scenario_spec.h) names channel
 // models by string — "iid", "per-link", "testbed" — so spec files can
 // pick a model without compiling anything. This header owns the keying:
-// the ChannelModelKind enum, its to/from-string mapping, and a factory
-// for the placement-free kinds. The testbed kind is geometric — it needs
-// node placements before it can exist — so it is materialised by
-// testbed::build_channel, not here; the factory still validates its name.
+// the ChannelModelKind enum, its names (to_string; the spec parser reads
+// them back), and a factory for the placement-free kinds. The testbed
+// kind is geometric — it needs node placements before it can exist — so
+// it is materialised by testbed::build_channel, not here.
 
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -24,14 +23,8 @@ enum class ChannelModelKind : std::uint8_t {
   kTestbed,  // geometry + interference + SINR (Sec. 4 deployment)
 };
 
+/// The model's spec-file name; "unknown" past the last enumerator.
 [[nodiscard]] std::string_view to_string(ChannelModelKind kind);
-
-/// nullopt when `name` keys no model.
-[[nodiscard]] std::optional<ChannelModelKind> channel_model_from_string(
-    std::string_view name);
-
-/// All valid model names, in enum order (for error messages and docs).
-[[nodiscard]] const std::vector<std::string_view>& channel_model_names();
 
 /// One entry of a per-link erasure table.
 struct LinkErasure {

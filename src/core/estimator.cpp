@@ -254,36 +254,6 @@ std::string_view to_string(EstimatorKind kind) {
   return "unknown";
 }
 
-namespace {
-
-// The one list both string functions derive from; to_string's switch is
-// exhaustive (compiler-checked), so a kind added there only needs one
-// entry here to become parseable and show up in help text.
-constexpr EstimatorKind kAllEstimatorKinds[] = {
-    EstimatorKind::kOracle,      EstimatorKind::kLeaveOneOut,
-    EstimatorKind::kKSubset,     EstimatorKind::kFraction,
-    EstimatorKind::kLooFraction, EstimatorKind::kSlotFraction,
-    EstimatorKind::kGeometry};
-
-}  // namespace
-
-std::optional<EstimatorKind> estimator_kind_from_string(
-    std::string_view name) {
-  for (const EstimatorKind kind : kAllEstimatorKinds)
-    if (name == to_string(kind)) return kind;
-  return std::nullopt;
-}
-
-const std::vector<std::string_view>& estimator_kind_names() {
-  static const std::vector<std::string_view> names = [] {
-    std::vector<std::string_view> out;
-    for (const EstimatorKind kind : kAllEstimatorKinds)
-      out.push_back(to_string(kind));
-    return out;
-  }();
-  return names;
-}
-
 std::unique_ptr<EveBoundEstimator> build_estimator(
     const EstimatorSpec& spec, const ReceptionTable& table,
     const std::vector<std::uint32_t>& eve_received,

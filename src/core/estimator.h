@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -224,15 +223,8 @@ enum class EstimatorKind : std::uint8_t {
   kGeometry,      // free-cell hypotheses + schedule geometry (testbed default)
 };
 
+/// The estimator's spec-file name; "unknown" past the last enumerator.
 [[nodiscard]] std::string_view to_string(EstimatorKind kind);
-
-/// Inverse of to_string: "oracle", "leave-one-out", "k-subset", ... .
-/// nullopt when `name` keys no estimator.
-[[nodiscard]] std::optional<EstimatorKind> estimator_kind_from_string(
-    std::string_view name);
-
-/// All valid estimator names, in enum order (for error messages and docs).
-[[nodiscard]] const std::vector<std::string_view>& estimator_kind_names();
 
 /// Declarative estimator choice carried inside session configs.
 struct EstimatorSpec {

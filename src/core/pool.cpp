@@ -78,13 +78,6 @@ std::string_view to_string(PoolStrategy s) {
   return "unknown";
 }
 
-std::optional<PoolStrategy> pool_strategy_from_string(std::string_view name) {
-  for (const PoolStrategy s :
-       {PoolStrategy::kClassShared, PoolStrategy::kTerminalMds})
-    if (name == to_string(s)) return s;
-  return std::nullopt;
-}
-
 namespace {
 
 /// Pool-wide y-packet budget: phase 2 codes the whole pool with one square

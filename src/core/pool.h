@@ -30,7 +30,6 @@
 // is exactly the paper's reliability metric.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/estimator.h"
@@ -118,12 +117,8 @@ struct PoolAllocation {
 ///    with nested reception sets, so it costs more z-packets.
 enum class PoolStrategy : std::uint8_t { kClassShared, kTerminalMds };
 
+/// The strategy's spec-file name; "unknown" past the last enumerator.
 [[nodiscard]] std::string_view to_string(PoolStrategy s);
-
-/// Inverse of to_string: "class-shared" or "terminal-mds". nullopt when
-/// `name` keys no strategy.
-[[nodiscard]] std::optional<PoolStrategy> pool_strategy_from_string(
-    std::string_view name);
 
 struct PoolBuildResult {
   YPool pool;

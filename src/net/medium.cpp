@@ -11,6 +11,10 @@ Medium::Medium(channel::Rng rng, MacParams params)
     throw std::invalid_argument("Medium: data rate must be positive");
   if (!(params_.slot_duration_s > 0.0))
     throw std::invalid_argument("Medium: slot duration must be positive");
+  // The clock only moves forward, so slot() never sees a negative time.
+  if (!(params_.per_frame_overhead_s >= 0.0 &&
+        params_.inter_frame_gap_s >= 0.0))
+    throw std::invalid_argument("Medium: frame overhead and gap must be >= 0");
 }
 
 void Medium::attach(packet::NodeId node, Role role) {

@@ -18,6 +18,7 @@
 // take turns transmitting under the protocol, so no collision model is
 // needed (the paper's terminals likewise defer to the 802.11 MAC).
 
+#include <limits>
 #include <vector>
 
 #include "channel/erasure.h"
@@ -72,10 +73,14 @@ class Medium {
   virtual TxResult transmit(packet::NodeId source, const packet::Packet& pkt,
                             TrafficClass cls) = 0;
 
-  /// Current virtual time and interference slot.
+  /// Current virtual time and interference slot. The slot saturates at
+  /// SIZE_MAX: frame times of 1e300 s put the clock past 2^64 slots, and
+  /// casting such a count to std::size_t is undefined.
   [[nodiscard]] double now() const { return now_s_; }
   [[nodiscard]] std::size_t slot() const {
-    return static_cast<std::size_t>(now_s_ / params_.slot_duration_s);
+    const double slots = now_s_ / params_.slot_duration_s;
+    return slots < 0x1p64 ? static_cast<std::size_t>(slots)
+                          : std::numeric_limits<std::size_t>::max();
   }
 
   [[nodiscard]] const Ledger& ledger() const { return ledger_; }

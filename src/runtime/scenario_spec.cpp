@@ -19,7 +19,7 @@
 #include "runtime/engine.h"
 #include "runtime/result_sink.h"  // format_double — sweep.key overrides
 #include "runtime/seed.h"
-#include "runtime/spec_parse.h"   // apply_override — sweep.key variants
+#include "runtime/spec_parse.h"   // apply_override, check_keys
 #include "testbed/experiment.h"
 #include "testbed/placements.h"
 #include "util/mutex.h"
@@ -44,105 +44,6 @@ std::string_view to_string(MetricSet m) {
     case MetricSet::kEfficiency: return "efficiency";
   }
   return "unknown";
-}
-
-std::optional<Baseline> baseline_from_string(std::string_view name) {
-  for (const Baseline b : {Baseline::kGroup, Baseline::kUnicast, Baseline::kBoth})
-    if (name == to_string(b)) return b;
-  return std::nullopt;
-}
-
-std::optional<MetricSet> metric_set_from_string(std::string_view name) {
-  for (const MetricSet m : {MetricSet::kSession, MetricSet::kEfficiency})
-    if (name == to_string(m)) return m;
-  return std::nullopt;
-}
-
-// --------------------------------------------------------- fluent builder
-
-ScenarioSpec& ScenarioSpec::with_name(std::string n) {
-  name = std::move(n);
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_description(std::string d) {
-  description = std::move(d);
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::on_iid(double p) {
-  channel.model = channel::ChannelModelKind::kIid;
-  channel.iid_p = p;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::on_per_link(
-    double default_p, std::vector<channel::LinkErasure> links) {
-  channel.model = channel::ChannelModelKind::kPerLink;
-  channel.default_p = default_p;
-  channel.links = std::move(links);
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::on_testbed(channel::TestbedChannel::Config config) {
-  channel.model = channel::ChannelModelKind::kTestbed;
-  channel.testbed = config;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_n(std::vector<std::size_t> values) {
-  topology.n_values = std::move(values);
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_n_range(std::size_t lo, std::size_t hi) {
-  topology.n_values.clear();
-  for (std::size_t n = lo; n <= hi; ++n) topology.n_values.push_back(n);
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_placement_cap(std::size_t cap) {
-  topology.max_placements = cap;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::at_cells(std::vector<std::size_t> cells,
-                                     std::size_t eve_cell) {
-  topology.cells = std::move(cells);
-  topology.eve_cell = eve_cell;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_estimator(core::EstimatorKind kind,
-                                           std::size_t max_placements) {
-  estimator.series = {{kind, max_placements}};
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::add_estimator(core::EstimatorKind kind,
-                                          std::size_t max_placements) {
-  estimator.series.push_back({kind, max_placements});
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_session(SessionSpec s) {
-  session = s;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::sweep_p(std::vector<double> values) {
-  sweep.p_values = std::move(values);
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::sweep_key(std::string key,
-                                      std::vector<double> values) {
-  sweep.key = std::move(key);
-  sweep.values = std::move(values);
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_repeats(std::size_t repeats) {
-  sweep.repeats = repeats;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_baseline(Baseline b) {
-  output.baseline = b;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_metrics(MetricSet m) {
-  output.metrics = m;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_analytic(bool on) {
-  output.analytic = on;
-  return *this;
 }
 
 namespace {
@@ -246,33 +147,34 @@ std::string override_text(double value) {
                          static_cast<std::uint64_t>(value)).ptr);
 }
 
-/// Build the testbed channel once, as every case will: a parameter its
-/// constructor rejects (min_distance_m <= 0, say) would otherwise fail
-/// each case of the run. A finite coordinate can still be too far away to
-/// place: its signal underflows to 0 mW (past about 1e159 m), and every
-/// case would throw from TestbedChannel::place. Place each given point
-/// once, as the cases do, against a node at every cell centre a case may
-/// stand one at and against the other given points.
+/// Build the testbed channel once, as every case will, and check its link
+/// budget: a parameter its constructor rejects, or a value that no link
+/// can carry (min_distance_m = 1e300 or ref_loss_db = 1e300, whose signal
+/// underflows to 0 mW), would otherwise fail each case of the run. Place a
+/// node at every cell centre a case may stand one at, then each given
+/// point (a finite coordinate past about 1e159 m underflows too) against
+/// those and the other given points.
 void check_testbed(const ScenarioSpec& spec) {
-  std::optional<channel::TestbedChannel> built;
+  // A link's loss is clamped to [loss_floor, loss_ceiling], which must be
+  // an interval: std::clamp with its bounds swapped is undefined.
+  const channel::SinrParams& sinr = spec.channel.testbed.sinr;
+  if (sinr.floor > sinr.ceiling)
+    fail(spec, "channel.loss_floor must be <= channel.loss_ceiling");
+  std::optional<channel::TestbedChannel> ch;
+  std::uint16_t id = 0;
   try {
-    built.emplace(spec.channel.testbed);
+    ch.emplace(spec.channel.testbed);
+    for (std::size_t cell = 0; cell < channel::CellGrid::kCells; ++cell)
+      ch->place_in_cell(packet::NodeId{id++}, channel::CellIndex{cell});
   } catch (const std::exception& e) {
     fail(spec, "channel.testbed parameters are invalid (" +
                    std::string(e.what()) + ")");
   }
-  if (spec.topology.positions.empty() &&
-      !spec.topology.eve_position.has_value())
-    return;
-  channel::TestbedChannel& ch = *built;
-  std::uint16_t id = 0;
   try {
-    for (std::size_t cell = 0; cell < channel::CellGrid::kCells; ++cell)
-      ch.place_in_cell(packet::NodeId{id++}, channel::CellIndex{cell});
     for (const channel::Vec2 pos : spec.topology.positions)
-      ch.place(packet::NodeId{id++}, pos);
+      ch->place(packet::NodeId{id++}, pos);
     if (spec.topology.eve_position.has_value())
-      ch.place(packet::NodeId{id}, *spec.topology.eve_position);
+      ch->place(packet::NodeId{id}, *spec.topology.eve_position);
   } catch (const std::exception& e) {
     fail(spec, "topology.positions and eve_position must be placeable (" +
                    std::string(e.what()) + ")");
@@ -288,18 +190,11 @@ Compiled validate(const ScenarioSpec& spec) {
   Compiled c;
   c.spec = spec;
   if (spec.name.empty()) fail(spec, "name is empty");
-  if (spec.estimator.series.empty()) fail(spec, "estimator.series is empty");
-  if (spec.sweep.repeats < 1) fail(spec, "sweep.repeats must be >= 1");
   if (spec.sweep.repeats > kMaxSweepValues)
     fail(spec, "sweep.repeats must be <= " + std::to_string(kMaxSweepValues));
-  if (spec.estimator.k_antennas < 1)
-    fail(spec, "estimator.k_antennas must be >= 1");
-  if (spec.session.x_packets < 1) fail(spec, "session.x_packets must be >= 1");
   if (spec.session.x_packets > kMaxSweepValues)
     fail(spec,
          "session.x_packets must be <= " + std::to_string(kMaxSweepValues));
-  if (spec.session.payload_bytes < 1)
-    fail(spec, "session.payload_bytes must be >= 1");
   if (spec.session.payload_bytes >
       kMaxRoundPayloadBytes / spec.session.x_packets)
     fail(spec, "session.x_packets x session.payload_bytes must be <= " +
@@ -315,18 +210,7 @@ Compiled validate(const ScenarioSpec& spec) {
 
   if (!spec.sweep.p_values.empty()) {
     if (!iid) fail(spec, "sweep.p requires channel.model = iid");
-    for (const double p : spec.sweep.p_values)
-      if (!(p >= 0.0 && p <= 1.0)) fail(spec, "sweep.p value outside [0, 1]");
     c.p_axis = true;
-  }
-  if (iid && !(spec.channel.iid_p >= 0.0 && spec.channel.iid_p <= 1.0))
-    fail(spec, "channel.p outside [0, 1]");
-  if (spec.channel.model == channel::ChannelModelKind::kPerLink) {
-    if (!(spec.channel.default_p >= 0.0 && spec.channel.default_p <= 1.0))
-      fail(spec, "channel.default_p outside [0, 1]");
-    for (const channel::LinkErasure& link : spec.channel.links)
-      if (!(link.p >= 0.0 && link.p <= 1.0))
-        fail(spec, "channel.links probability outside [0, 1]");
   }
   if (spec.output.analytic &&
       (!iid || spec.output.metrics != MetricSet::kEfficiency))
@@ -337,17 +221,6 @@ Compiled validate(const ScenarioSpec& spec) {
     for (const EstimatorSeries& series : spec.estimator.series)
       if (series.kind == core::EstimatorKind::kGeometry)
         fail(spec, "estimator 'geometry' requires channel.model = testbed");
-
-  // A non-finite coordinate has no cell and no path loss: caught here, it
-  // would otherwise fail every case in the channel.
-  const auto finite = [](channel::Vec2 v) {
-    return std::isfinite(v.x) && std::isfinite(v.y);
-  };
-  if (!std::all_of(spec.topology.positions.begin(),
-                   spec.topology.positions.end(), finite) ||
-      (spec.topology.eve_position.has_value() &&
-       !finite(*spec.topology.eve_position)))
-    fail(spec, "topology.positions and eve_position must be finite");
 
   const bool explicit_topology =
       !spec.topology.cells.empty() || !spec.topology.positions.empty();
@@ -411,9 +284,10 @@ Compiled make_compiled(const ScenarioSpec& spec) {
 
   const std::string& key = spec.sweep.key;
   // sweep.* would self-reference (and sweep.p already is an axis); run.*
-  // is execution pinning, not physics; name/description are not numeric.
+  // is execution pinning, not physics; the top-level keys (name and
+  // description) are not numeric.
   if (key.starts_with("sweep.") || key.starts_with("run.") ||
-      key == "name" || key == "description")
+      key.find('.') == std::string::npos)
     fail(spec, "sweep.key cannot target '" + key + "'");
 
   // Every variant adds at least one case, and the keyed plan is built as
@@ -430,9 +304,6 @@ Compiled make_compiled(const ScenarioSpec& spec) {
   std::set<double> seen;
   std::size_t cases = 0;
   for (const double value : spec.sweep.values) {
-    // Cases find their variant by exact comparison, which a NaN never
-    // passes.
-    if (!std::isfinite(value)) fail(spec, "sweep.values must be finite");
     if (!seen.insert(value).second)
       fail(spec, "sweep.values has duplicate " + format_double(value));
     ScenarioSpec variant = unkeyed;
@@ -675,6 +546,14 @@ CaseResult run_case(const Compiled& c, const CaseSpec& cs) {
 }  // namespace
 
 Scenario compile(const ScenarioSpec& spec) {
+  // Single keys first, so the rules across keys see values in range; the
+  // sweep.values are finite, as cases find their variant by exact
+  // comparison, which a NaN never passes.
+  try {
+    check_keys(spec);
+  } catch (const SpecError& e) {
+    fail(spec, e.what());
+  }
   const auto c = std::make_shared<const Compiled>(make_compiled(spec));
   Scenario s;
   s.name = spec.name;

@@ -145,12 +145,9 @@ enum class MetricSet : std::uint8_t {
   kEfficiency,  // data-plane efficiency (the Figure-1 quantity)
 };
 
+/// Spec-file names; "unknown" past the last enumerator.
 [[nodiscard]] std::string_view to_string(Baseline b);
 [[nodiscard]] std::string_view to_string(MetricSet m);
-[[nodiscard]] std::optional<Baseline> baseline_from_string(
-    std::string_view name);
-[[nodiscard]] std::optional<MetricSet> metric_set_from_string(
-    std::string_view name);
 
 struct OutputSpec {
   Baseline baseline = Baseline::kGroup;
@@ -176,8 +173,8 @@ struct RunSpec {
   friend bool operator==(const RunSpec&, const RunSpec&) = default;
 };
 
-/// A whole scenario as data. Field-assign or chain the fluent setters;
-/// compile() validates everything at once.
+/// A whole scenario as data: assign its fields, then compile() checks
+/// them all at once.
 struct ScenarioSpec {
   std::string name;
   std::string description;
@@ -191,33 +188,6 @@ struct ScenarioSpec {
   net::MacParams mac;
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
-
-  // ------------------------------------------------------ fluent builder
-  ScenarioSpec& with_name(std::string n);
-  ScenarioSpec& with_description(std::string d);
-  /// Channel selection. on_iid keeps sweep.p as the axis when set later.
-  ScenarioSpec& on_iid(double p);
-  ScenarioSpec& on_per_link(double default_p,
-                            std::vector<channel::LinkErasure> links);
-  ScenarioSpec& on_testbed(channel::TestbedChannel::Config config = {});
-  ScenarioSpec& with_n(std::vector<std::size_t> values);
-  ScenarioSpec& with_n_range(std::size_t lo, std::size_t hi);
-  ScenarioSpec& with_placement_cap(std::size_t cap);
-  ScenarioSpec& at_cells(std::vector<std::size_t> cells, std::size_t eve_cell);
-  /// Replace the estimator axis with one series.
-  ScenarioSpec& with_estimator(core::EstimatorKind kind,
-                               std::size_t max_placements = 0);
-  /// Append one series to the estimator axis.
-  ScenarioSpec& add_estimator(core::EstimatorKind kind,
-                              std::size_t max_placements = 0);
-  ScenarioSpec& with_session(SessionSpec s);
-  ScenarioSpec& sweep_p(std::vector<double> values);
-  /// Sweep any numeric spec key by dotted path (see SweepSpec::key).
-  ScenarioSpec& sweep_key(std::string key, std::vector<double> values);
-  ScenarioSpec& with_repeats(std::size_t repeats);
-  ScenarioSpec& with_baseline(Baseline b);
-  ScenarioSpec& with_metrics(MetricSet m);
-  ScenarioSpec& with_analytic(bool on = true);
 };
 
 /// The most values one sweep may materialise: the values of one range in
@@ -231,11 +201,13 @@ inline constexpr std::size_t kMaxSweepValues = std::size_t{1} << 20;
 /// are bounded by kMaxSweepValues.
 inline constexpr std::size_t kMaxRoundPayloadBytes = std::size_t{1} << 26;
 
-/// Validate `spec` and compile it into a runnable Scenario. The returned
-/// Scenario carries a copy of the spec (Scenario::spec), keeps the
-/// engine's purity contract, and throws nothing at run time that compile
-/// could have caught. Throws std::invalid_argument with a
-/// "<name>: <problem>" message on an inconsistent spec.
+/// Validate `spec` and compile it into a runnable Scenario: every key's
+/// domain (runtime::check_keys, the rules a spec file meets), then the
+/// rules across keys and the size caps. The returned Scenario carries a
+/// copy of the spec (Scenario::spec), keeps the engine's purity contract,
+/// and throws nothing at run time that compile could have caught. Throws
+/// std::invalid_argument with a "<name>: <problem>" message on an
+/// inconsistent spec.
 [[nodiscard]] Scenario compile(const ScenarioSpec& spec);
 
 /// compile() + ScenarioRegistry::add in one step.

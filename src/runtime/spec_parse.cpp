@@ -4,8 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
-#include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "runtime/engine.h"       // kMaxRunThreads
@@ -63,13 +64,6 @@ std::size_t parse_integer(const std::string& path, std::string_view text) {
     fail(path, "expected a non-negative integer, got '" + std::string(text) +
                    "'");
   return out;
-}
-
-bool parse_bool(const std::string& path, std::string_view text) {
-  if (text == "true" || text == "on") return true;
-  if (text == "false" || text == "off") return false;
-  fail(path, "expected true/false (or on/off), got '" + std::string(text) +
-                 "'");
 }
 
 /// A quoted string with \" \\ \n escapes, or a bare word.
@@ -191,29 +185,204 @@ std::vector<double> parse_number_list(const std::string& path,
   return out;
 }
 
-std::vector<std::size_t> parse_integer_list(const std::string& path,
-                                            std::string_view text) {
-  std::vector<std::size_t> out;
+// ---------------------------------------------------------------- domains
+
+/// The values one key may hold. `check` returns "" for an allowed number
+/// and the problem otherwise; it sees every number the key holds (each
+/// list item, both coordinates of a point, each link's p), integers as
+/// doubles. An `optional` key is left out of describe while it is unset
+/// or empty.
+struct Domain {
+  std::string (*check)(double);
+  bool optional = false;
+};
+
+std::string finite(double v) {
+  return std::isfinite(v) ? "" : format_double(v) + " is not finite";
+}
+
+std::string probability(double v) {
+  return v >= 0.0 && v <= 1.0 ? "" : format_double(v) + " outside [0, 1]";
+}
+
+std::string safety_margin(double v) {
+  return v > 0.0 && v <= 1.0 ? "" : format_double(v) + " outside (0, 1]";
+}
+
+std::string positive(double v) {
+  return v > 0.0 && std::isfinite(v) ? ""
+                                     : format_double(v) + " outside (0, inf)";
+}
+
+std::string non_negative(double v) {
+  return v >= 0.0 && std::isfinite(v) ? ""
+                                      : format_double(v) + " outside [0, inf)";
+}
+
+std::string at_least_one(double v) { return v >= 1.0 ? "" : "must be >= 1"; }
+
+std::string cell(double v) {
+  return v < static_cast<double>(channel::CellGrid::kCells)
+             ? ""
+             : "cell " + format_double(v) + " outside [0, 8]";
+}
+
+std::string thread_count(double v) {
+  return v <= static_cast<double>(kMaxRunThreads)
+             ? ""
+             : "at most " + std::to_string(kMaxRunThreads) +
+                   " threads (0 = auto)";
+}
+
+constexpr Domain kAny{finite};  // every double finite
+constexpr Domain kProbability{probability};
+constexpr Domain kSafety{safety_margin};
+constexpr Domain kPositive{positive};
+constexpr Domain kNonNegative{non_negative};
+constexpr Domain kAtLeastOne{at_least_one};
+constexpr Domain kCell{cell};
+constexpr Domain kOptional{finite, true};
+constexpr Domain kOptionalThreads{thread_count, true};
+
+// ------------------------------------------------------------ typed values
+//
+// One overload per ScenarioSpec field type: read() parses a key's text
+// into a value, text_of() writes it back in describe's canonical form, and
+// check() holds every number in it to the key's domain.
+
+/// Strings, booleans and enums: every value read() accepts is allowed.
+template <typename T>
+void check(const std::string&, const T&, Domain) {}
+
+void check(const std::string& path, double v, Domain domain) {
+  if (const std::string problem = domain.check(v); !problem.empty())
+    fail(path, problem);
+}
+
+void check(const std::string& path, std::size_t v, Domain domain) {
+  check(path, static_cast<double>(v), domain);
+}
+
+void check(const std::string& path, channel::Vec2 v, Domain domain) {
+  check(path, v.x, domain);
+  check(path, v.y, domain);
+}
+
+void check(const std::string& path, const channel::LinkErasure& link,
+           Domain domain) {
+  check(path, link.p, domain);
+}
+
+void check(const std::string& path,
+           const std::vector<EstimatorSeries>& series, Domain) {
+  if (series.empty()) fail(path, "needs at least one estimator");
+}
+
+template <typename T>
+void check(const std::string& path, const std::vector<T>& items,
+           Domain domain) {
+  for (const T& item : items) check(path, item, domain);
+}
+
+template <typename T>
+void check(const std::string& path, const std::optional<T>& value,
+           Domain domain) {
+  if (value.has_value()) check(path, *value, domain);
+}
+
+void read(const std::string& path, std::string_view text, std::string& out) {
+  out = parse_string(path, text);
+}
+
+void read(const std::string& path, std::string_view text, bool& out) {
+  out = text == "true" || text == "on";
+  if (!out && text != "false" && text != "off")
+    fail(path, "expected true/false (or on/off), got '" + std::string(text) +
+                   "'");
+}
+
+void read(const std::string& path, std::string_view text, double& out) {
+  out = parse_number(path, text);
+}
+
+// run.seed reads as a std::size_t.
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+              "spec seeds assume 64-bit size_t");
+
+void read(const std::string& path, std::string_view text, std::size_t& out) {
+  out = parse_integer(path, text);
+}
+
+void read(const std::string& path, std::string_view text,
+          std::vector<double>& out) {
+  out = parse_number_list(path, text);
+}
+
+void read(const std::string& path, std::string_view text,
+          std::vector<std::size_t>& out) {
   for (const double v : parse_number_list(path, text)) {
     // A cast from 2^64 and up, or from infinity, is undefined.
     if (!(v >= 0.0 && v < 0x1p64) || v != std::floor(v))
       fail(path, "expected non-negative integers");
     out.push_back(static_cast<std::size_t>(v));
   }
-  return out;
 }
 
-void check_probability(const std::string& path, double p) {
-  if (!(p >= 0.0 && p <= 1.0))
-    fail(path, format_double(p) + " outside [0, 1]");
+/// A flat coordinate list, [x1, y1, x2, y2, ...].
+void read(const std::string& path, std::string_view text,
+          std::vector<channel::Vec2>& out) {
+  const std::vector<double> flat = parse_number_list(path, text);
+  if (flat.size() % 2 != 0)
+    fail(path,
+         "expected an even number of coordinates (x1, y1, x2, y2, ...)");
+  for (std::size_t i = 0; i < flat.size(); i += 2)
+    out.push_back({flat[i], flat[i + 1]});
 }
 
-void check_cell(const std::string& path, std::size_t cell) {
-  if (cell >= channel::CellGrid::kCells)
-    fail(path, "cell " + std::to_string(cell) + " outside [0, 8]");
+void read(const std::string& path, std::string_view text,
+          std::optional<channel::Vec2>& out) {
+  std::vector<channel::Vec2> points;
+  read(path, text, points);
+  if (points.size() != 1) fail(path, "expected exactly one [x, y] pair");
+  out = points[0];
 }
 
-// ------------------------------------------------------- composite fields
+template <typename T>
+void read(const std::string& path, std::string_view text,
+          std::optional<T>& out) {
+  T value{};
+  read(path, text, value);
+  out = value;
+}
+
+const char* noun(channel::ChannelModelKind) { return "model"; }
+const char* noun(core::EstimatorKind) { return "estimator"; }
+const char* noun(core::PoolStrategy) { return "pool strategy"; }
+const char* noun(Baseline) { return "baseline"; }
+const char* noun(MetricSet) { return "metric set"; }
+
+/// The enumerator whose to_string is `name`. Each enum a spec names counts
+/// up from 0, and its to_string answers "unknown" past the last
+/// enumerator, which ends the walk: a new enumerator needs only its
+/// to_string case to be parsed and listed here.
+template <typename E>
+E enum_named(const std::string& path, const std::string& name) {
+  std::string known;
+  for (std::underlying_type_t<E> i = 0;; ++i) {
+    const std::string_view candidate = to_string(static_cast<E>(i));
+    if (candidate == "unknown") break;
+    if (candidate == name) return static_cast<E>(i);
+    known += (known.empty() ? "" : ", ") + std::string(candidate);
+  }
+  fail(path, "unknown " + std::string(noun(E{})) + " '" + name +
+                 "' (one of: " + known + ")");
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+void read(const std::string& path, std::string_view text, E& out) {
+  out = enum_named<E>(path, parse_string(path, text));
+}
 
 /// "kind" or "kind:cap", e.g. "geometry:60".
 EstimatorSeries parse_series_item(const std::string& path,
@@ -221,30 +390,16 @@ EstimatorSeries parse_series_item(const std::string& path,
   const std::string item = parse_string(path, text);
   const std::size_t colon = item.find(':');
   EstimatorSeries series;
-  const std::string kind_name = item.substr(0, colon);
-  const auto kind = core::estimator_kind_from_string(kind_name);
-  if (!kind.has_value()) {
-    std::string known;
-    for (const std::string_view name : core::estimator_kind_names())
-      known += (known.empty() ? "" : ", ") + std::string(name);
-    fail(path, "unknown estimator '" + kind_name + "' (one of: " + known + ")");
-  }
-  series.kind = *kind;
+  series.kind = enum_named<core::EstimatorKind>(path, item.substr(0, colon));
   if (colon != std::string::npos)
     series.max_placements = parse_integer(path, item.substr(colon + 1));
   return series;
 }
 
-std::string serialize_series_item(const EstimatorSeries& series) {
-  std::string out(core::to_string(series.kind));
-  if (series.max_placements != 0) {
-    // Append piecewise: `out += ":" + std::to_string(...)` trips gcc 12's
-    // -Wrestrict false positive (PR 105329) once inlined into the
-    // serializer, and the warning set is promoted to errors in CI.
-    out += ':';
-    out += std::to_string(series.max_placements);
-  }
-  return quote(out);
+void read(const std::string& path, std::string_view text,
+          std::vector<EstimatorSeries>& out) {
+  for (const std::string& item : split_items(path, text))
+    out.push_back(parse_series_item(path, item));
 }
 
 /// "tx>rx:p", e.g. "0>1:0.25".
@@ -266,264 +421,190 @@ channel::LinkErasure parse_link_item(const std::string& path,
   link.tx = node_id(item.substr(0, gt));
   link.rx = node_id(item.substr(gt + 1, colon - gt - 1));
   link.p = parse_number(path, item.substr(colon + 1));
-  check_probability(path, link.p);
   return link;
 }
 
-std::string serialize_link_item(const channel::LinkErasure& link) {
+void read(const std::string& path, std::string_view text,
+          std::vector<channel::LinkErasure>& out) {
+  for (const std::string& item : split_items(path, text))
+    out.push_back(parse_link_item(path, item));
+}
+
+std::string text_of(const std::string& s) { return quote(s); }
+std::string text_of(bool b) { return b ? "true" : "false"; }
+std::string text_of(double v) { return format_double(v); }
+std::string text_of(std::size_t v) { return std::to_string(v); }
+
+std::string text_of(channel::Vec2 v) {
+  return format_double(v.x) + ", " + format_double(v.y);
+}
+
+std::string text_of(const std::optional<channel::Vec2>& v) {
+  return "[" + text_of(*v) + "]";
+}
+
+std::string text_of(const channel::LinkErasure& link) {
   return quote(std::to_string(link.tx) + ">" + std::to_string(link.rx) + ":" +
                format_double(link.p));
 }
 
-std::vector<channel::Vec2> parse_positions(const std::string& path,
-                                           std::string_view text) {
-  const std::vector<double> flat = parse_number_list(path, text);
-  if (flat.size() % 2 != 0)
-    fail(path,
-         "expected an even number of coordinates (x1, y1, x2, y2, ...)");
-  std::vector<channel::Vec2> out;
-  for (std::size_t i = 0; i < flat.size(); i += 2)
-    out.push_back({flat[i], flat[i + 1]});
-  return out;
+std::string text_of(const EstimatorSeries& series) {
+  std::string out(core::to_string(series.kind));
+  if (series.max_placements != 0) {
+    // Append piecewise: `out += ":" + std::to_string(...)` trips gcc 12's
+    // -Wrestrict false positive (PR 105329) once inlined into the
+    // serializer, and the warning set is promoted to errors in CI.
+    out += ':';
+    out += std::to_string(series.max_placements);
+  }
+  return quote(out);
 }
 
-// --------------------------------------------------------- the key table
-
-const std::vector<std::string>& section_names() {
-  static const std::vector<std::string> names = {
-      "channel", "topology", "session", "estimator",
-      "sweep",   "output",   "run",     "mac"};
-  return names;
+template <typename E>
+  requires std::is_enum_v<E>
+std::string text_of(E e) {
+  return quote(std::string(to_string(e)));
 }
 
-/// Assign one (section, key) = value onto the spec. `path` is the dotted
-/// name used in error messages ("channel.p").
-void set_field(ScenarioSpec& spec, const std::string& section,
-               const std::string& key, std::string_view value) {
-  const std::string path = section.empty() ? key : section + "." + key;
-  const auto unknown_key = [&]() -> void {
-    fail(path, "unknown key");
-  };
-
-  if (section.empty()) {
-    if (key == "name") {
-      spec.name = parse_string(path, value);
-    } else if (key == "description") {
-      spec.description = parse_string(path, value);
-    } else {
-      fail(key, "unknown key (top level has only name and description)");
-    }
-    return;
+template <typename T>
+std::string text_of(const std::vector<T>& items) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += text_of(items[i]);
   }
+  return out + "]";
+}
 
-  if (section == "channel") {
-    ChannelSpec& ch = spec.channel;
-    if (key == "model") {
-      const std::string name = parse_string(path, value);
-      const auto kind = channel::channel_model_from_string(name);
-      if (!kind.has_value()) {
-        std::string known;
-        for (const std::string_view k : channel::channel_model_names())
-          known += (known.empty() ? "" : ", ") + std::string(k);
-        fail(path, "unknown model '" + name + "' (one of: " + known + ")");
-      }
-      ch.model = *kind;
-    } else if (key == "p") {
-      ch.iid_p = parse_number(path, value);
-      check_probability(path, ch.iid_p);
-    } else if (key == "default_p") {
-      ch.default_p = parse_number(path, value);
-      check_probability(path, ch.default_p);
-    } else if (key == "links") {
-      ch.links.clear();
-      for (const std::string& item : split_items(path, value))
-        ch.links.push_back(parse_link_item(path, item));
-    } else if (key == "area_m2") {
-      const double area = parse_number(path, value);
-      if (!(area > 0.0)) fail(path, "area must be > 0");
-      ch.testbed.grid = channel::CellGrid(area);
-    } else if (key == "interference") {
-      ch.testbed.interference_enabled = parse_bool(path, value);
-    } else if (key == "tx_power_dbm") {
-      ch.testbed.pathloss.tx_power_dbm = parse_number(path, value);
-    } else if (key == "ref_loss_db") {
-      ch.testbed.pathloss.ref_loss_db = parse_number(path, value);
-    } else if (key == "pathloss_exponent") {
-      ch.testbed.pathloss.exponent = parse_number(path, value);
-    } else if (key == "min_distance_m") {
-      ch.testbed.pathloss.min_distance_m = parse_number(path, value);
-    } else if (key == "jammer_power_dbm") {
-      ch.testbed.interferer.tx_power_dbm = parse_number(path, value);
-    } else if (key == "sidelobe_rejection_db") {
-      ch.testbed.interferer.sidelobe_rejection_db = parse_number(path, value);
-    } else if (key == "noise_floor_dbm") {
-      ch.testbed.sinr.noise_floor_dbm = parse_number(path, value);
-    } else if (key == "per_threshold_db") {
-      ch.testbed.sinr.per_threshold_db = parse_number(path, value);
-    } else if (key == "per_scale_db") {
-      ch.testbed.sinr.per_scale_db = parse_number(path, value);
-    } else if (key == "loss_floor") {
-      ch.testbed.sinr.floor = parse_number(path, value);
-      check_probability(path, ch.testbed.sinr.floor);
-    } else if (key == "loss_ceiling") {
-      ch.testbed.sinr.ceiling = parse_number(path, value);
-      check_probability(path, ch.testbed.sinr.ceiling);
-    } else {
-      unknown_key();
-    }
-    return;
-  }
+template <typename T>
+std::string text_of(const std::optional<T>& value) {
+  return text_of(*value);
+}
 
-  if (section == "topology") {
-    TopologySpec& topo = spec.topology;
-    if (key == "n") {
-      topo.n_values = parse_integer_list(path, value);
-    } else if (key == "max_placements") {
-      topo.max_placements = parse_integer(path, value);
-    } else if (key == "cells") {
-      topo.cells = parse_integer_list(path, value);
-      for (const std::size_t cell : topo.cells) check_cell(path, cell);
-    } else if (key == "eve_cell") {
-      topo.eve_cell = parse_integer(path, value);
-      check_cell(path, topo.eve_cell);
-    } else if (key == "positions") {
-      topo.positions = parse_positions(path, value);
-    } else if (key == "eve_position") {
-      const std::vector<channel::Vec2> pos = parse_positions(path, value);
-      if (pos.size() != 1) fail(path, "expected exactly one [x, y] pair");
-      topo.eve_position = pos[0];
-    } else {
-      unknown_key();
-    }
-    return;
-  }
+template <typename T>
+bool is_set(const T& value) {
+  if constexpr (requires { value.has_value(); })
+    return value.has_value();
+  else if constexpr (requires { value.empty(); })
+    return !value.empty();
+  else
+    return true;
+}
 
-  if (section == "session") {
-    SessionSpec& s = spec.session;
-    if (key == "x_packets") {
-      s.x_packets = parse_integer(path, value);
-    } else if (key == "payload_bytes") {
-      s.payload_bytes = parse_integer(path, value);
-    } else if (key == "rounds") {
-      s.rounds = parse_integer(path, value);
-    } else if (key == "rotate_alice") {
-      s.rotate_alice = parse_bool(path, value);
-    } else if (key == "pool") {
-      const std::string name = parse_string(path, value);
-      const auto pool = core::pool_strategy_from_string(name);
-      if (!pool.has_value())
-        fail(path, "unknown pool strategy '" + name +
-                       "' (one of: class-shared, terminal-mds)");
-      s.pool = *pool;
-    } else {
-      unknown_key();
-    }
-    return;
-  }
+// ------------------------------------------------------------- the keys
 
-  if (section == "estimator") {
-    EstimatorAxis& est = spec.estimator;
-    if (key == "series") {
-      est.series.clear();
-      for (const std::string& item : split_items(path, value))
-        est.series.push_back(parse_series_item(path, item));
-      if (est.series.empty()) fail(path, "needs at least one estimator");
-    } else if (key == "k_antennas") {
-      est.k_antennas = parse_integer(path, value);
-    } else if (key == "fraction_delta") {
-      est.fraction_delta = parse_number(path, value);
-      check_probability(path, est.fraction_delta);
-    } else if (key == "safety") {
-      est.safety = parse_number(path, value);
-      check_probability(path, est.safety);
-    } else {
-      unknown_key();
-    }
-    return;
-  }
+/// Every key of the spec format, once, in describe's order: its section
+/// ("" at the top level), its name, the ScenarioSpec field it sets and
+/// the values it may hold. parse_spec, apply_override, serialize_spec and
+/// check_keys all walk this list.
+template <typename Spec, typename F>
+void for_each_key(Spec& spec, F&& f) {
+  f("", "name", spec.name, kAny);
+  f("", "description", spec.description, kAny);
 
-  if (section == "sweep") {
-    SweepSpec& sw = spec.sweep;
-    if (key == "p") {
-      sw.p_values = parse_number_list(path, value);
-      for (const double p : sw.p_values) check_probability(path, p);
-    } else if (key == "repeats") {
-      sw.repeats = parse_integer(path, value);
-      if (sw.repeats < 1) fail(path, "must be >= 1");
-    } else if (key == "key") {
-      // The dotted path of the generic axis. Its target must itself be a
-      // settable key, but that is compile()'s job (it applies the
-      // override per value) — here it is just a string.
-      sw.key = parse_string(path, value);
-    } else if (key == "values") {
-      sw.values = parse_number_list(path, value);
-    } else {
-      unknown_key();
-    }
-    return;
-  }
+  auto& ch = spec.channel;
+  f("channel", "model", ch.model, kAny);
+  f("channel", "p", ch.iid_p, kProbability);
+  f("channel", "default_p", ch.default_p, kProbability);
+  f("channel", "links", ch.links, kProbability);
+  // The grid keeps its side; the key is its floor area.
+  auto& tb = ch.testbed;
+  const double side = tb.grid.side();
+  double area = side * side;
+  f("channel", "area_m2", area, kPositive);
+  if constexpr (!std::is_const_v<Spec>)
+    if (area != side * side) tb.grid = channel::CellGrid(area);
+  f("channel", "interference", tb.interference_enabled, kAny);
+  f("channel", "tx_power_dbm", tb.pathloss.tx_power_dbm, kAny);
+  f("channel", "ref_loss_db", tb.pathloss.ref_loss_db, kAny);
+  f("channel", "pathloss_exponent", tb.pathloss.exponent, kAny);
+  f("channel", "min_distance_m", tb.pathloss.min_distance_m, kPositive);
+  f("channel", "jammer_power_dbm", tb.interferer.tx_power_dbm, kAny);
+  f("channel", "sidelobe_rejection_db",
+    tb.interferer.sidelobe_rejection_db, kAny);
+  f("channel", "noise_floor_dbm", tb.sinr.noise_floor_dbm, kAny);
+  f("channel", "per_threshold_db", tb.sinr.per_threshold_db, kAny);
+  f("channel", "per_scale_db", tb.sinr.per_scale_db, kPositive);
+  f("channel", "loss_floor", tb.sinr.floor, kProbability);
+  f("channel", "loss_ceiling", tb.sinr.ceiling, kProbability);
 
-  if (section == "output") {
-    OutputSpec& out = spec.output;
-    if (key == "baseline") {
-      const std::string name = parse_string(path, value);
-      const auto b = baseline_from_string(name);
-      if (!b.has_value())
-        fail(path, "unknown baseline '" + name +
-                       "' (one of: group, unicast, both)");
-      out.baseline = *b;
-    } else if (key == "metrics") {
-      const std::string name = parse_string(path, value);
-      const auto m = metric_set_from_string(name);
-      if (!m.has_value())
-        fail(path,
-             "unknown metric set '" + name + "' (one of: session, efficiency)");
-      out.metrics = *m;
-    } else if (key == "analytic") {
-      out.analytic = parse_bool(path, value);
-    } else {
-      unknown_key();
-    }
-    return;
-  }
+  auto& topo = spec.topology;
+  f("topology", "n", topo.n_values, kAny);
+  f("topology", "max_placements", topo.max_placements, kAny);
+  f("topology", "cells", topo.cells, kCell);
+  f("topology", "eve_cell", topo.eve_cell, kCell);
+  f("topology", "positions", topo.positions, kAny);
+  f("topology", "eve_position", topo.eve_position, kOptional);
 
-  if (section == "run") {
-    RunSpec& run = spec.run;
-    if (key == "seed") {
-      // parse_integer targets std::size_t == uint64_t on every platform we
-      // build; range-check anyway so a 32-bit port fails loudly, not quietly.
-      static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                    "spec seeds assume 64-bit size_t");
-      run.seed = parse_integer(path, value);
-    } else if (key == "threads") {
-      const std::size_t n = parse_integer(path, value);
-      if (n > kMaxRunThreads)
-        fail(path, "at most " + std::to_string(kMaxRunThreads) +
-                       " threads (0 = auto)");
-      run.threads = n;
-    } else {
-      unknown_key();
-    }
-    return;
-  }
+  auto& session = spec.session;
+  f("session", "x_packets", session.x_packets, kAtLeastOne);
+  f("session", "payload_bytes", session.payload_bytes, kAtLeastOne);
+  f("session", "rounds", session.rounds, kAny);
+  f("session", "rotate_alice", session.rotate_alice, kAny);
+  f("session", "pool", session.pool, kAny);
 
-  if (section == "mac") {
-    net::MacParams& mac = spec.mac;
-    if (key == "data_rate_bps") {
-      mac.data_rate_bps = parse_number(path, value);
-    } else if (key == "frame_overhead_s") {
-      mac.per_frame_overhead_s = parse_number(path, value);
-    } else if (key == "inter_frame_gap_s") {
-      mac.inter_frame_gap_s = parse_number(path, value);
-    } else if (key == "slot_s") {
-      mac.slot_duration_s = parse_number(path, value);
-    } else {
-      unknown_key();
-    }
-    return;
-  }
+  auto& est = spec.estimator;
+  f("estimator", "series", est.series, kAny);
+  f("estimator", "k_antennas", est.k_antennas, kAtLeastOne);
+  f("estimator", "fraction_delta", est.fraction_delta, kProbability);
+  f("estimator", "safety", est.safety, kSafety);
 
-  fail(path, "unknown section '" + section + "'");
+  f("sweep", "p", spec.sweep.p_values, kProbability);
+  f("sweep", "repeats", spec.sweep.repeats, kAtLeastOne);
+  // The generic axis's dotted path. That it names a key is compile()'s
+  // check: it applies the path once per value.
+  f("sweep", "key", spec.sweep.key, kOptional);
+  f("sweep", "values", spec.sweep.values, kOptional);
+
+  f("output", "baseline", spec.output.baseline, kAny);
+  f("output", "metrics", spec.output.metrics, kAny);
+  f("output", "analytic", spec.output.analytic, kAny);
+
+  f("run", "seed", spec.run.seed, kOptional);
+  f("run", "threads", spec.run.threads, kOptionalThreads);
+
+  f("mac", "data_rate_bps", spec.mac.data_rate_bps, kPositive);
+  f("mac", "frame_overhead_s", spec.mac.per_frame_overhead_s, kNonNegative);
+  f("mac", "inter_frame_gap_s", spec.mac.inter_frame_gap_s, kNonNegative);
+  f("mac", "slot_s", spec.mac.slot_duration_s, kPositive);
+}
+
+/// The dotted name of a key in error messages ("channel.p", "name").
+std::string path_of(std::string_view section, std::string_view key) {
+  return section.empty() ? std::string(key)
+                         : std::string(section) + "." + std::string(key);
+}
+
+bool is_section(std::string_view name) {
+  const ScenarioSpec defaults;
+  bool known = false;
+  for_each_key(defaults, [&](std::string_view section, std::string_view,
+                             const auto&, Domain) {
+    known = known || (!name.empty() && section == name);
+  });
+  return known;
+}
+
+/// Assign the key `key` of `section` ("" at the top level) from its value
+/// text, held to the key's domain.
+void set_key(ScenarioSpec& spec, const std::string& section,
+             const std::string& key, std::string_view text) {
+  const std::string path = path_of(section, key);
+  bool found = false;
+  for_each_key(spec, [&](std::string_view s, std::string_view k, auto& field,
+                         Domain domain) {
+    if (s != section || k != key) return;
+    std::remove_cvref_t<decltype(field)> value{};
+    read(path, text, value);
+    check(path, value, domain);
+    field = std::move(value);
+    found = true;
+  });
+  if (found) return;
+  if (section.empty())
+    fail(key, "unknown key (top level has only name and description)");
+  if (!is_section(section)) fail(path, "unknown section '" + section + "'");
+  fail(path, "unknown key");
 }
 
 }  // namespace
@@ -552,10 +633,7 @@ ScenarioSpec parse_spec(std::string_view text) {
         throw SpecError(prefix + "unterminated section header " +
                         std::string(line));
       section = std::string(trim(line.substr(1, line.size() - 2)));
-      bool known = false;
-      for (const std::string& name : section_names())
-        known = known || name == section;
-      if (!known)
+      if (!is_section(section))
         throw SpecError(prefix + "unknown section [" + section + "]");
       if (!seen_sections.insert(section).second)
         throw SpecError(prefix + "duplicate section [" + section + "]");
@@ -571,7 +649,7 @@ ScenarioSpec parse_spec(std::string_view text) {
     const std::string_view value = trim(line.substr(eq + 1));
     if (key.empty()) throw SpecError(prefix + "empty key");
     try {
-      set_field(spec, section, key, value);
+      set_key(spec, section, key, value);
     } catch (const SpecError& e) {
       throw SpecError(prefix + e.what());
     }
@@ -581,116 +659,18 @@ ScenarioSpec parse_spec(std::string_view text) {
 }
 
 std::string serialize_spec(const ScenarioSpec& spec) {
-  std::ostringstream out;
-  const auto num = [](double v) { return format_double(v); };
-
-  out << "name = " << quote(spec.name) << "\n";
-  out << "description = " << quote(spec.description) << "\n";
-
-  const ChannelSpec& ch = spec.channel;
-  out << "\n[channel]\n";
-  out << "model = \"" << channel::to_string(ch.model) << "\"\n";
-  out << "p = " << num(ch.iid_p) << "\n";
-  out << "default_p = " << num(ch.default_p) << "\n";
-  out << "links = [";
-  for (std::size_t i = 0; i < ch.links.size(); ++i)
-    out << (i > 0 ? ", " : "") << serialize_link_item(ch.links[i]);
-  out << "]\n";
-  const double side = ch.testbed.grid.side();
-  out << "area_m2 = " << num(side * side) << "\n";
-  out << "interference = "
-      << (ch.testbed.interference_enabled ? "true" : "false") << "\n";
-  out << "tx_power_dbm = " << num(ch.testbed.pathloss.tx_power_dbm) << "\n";
-  out << "ref_loss_db = " << num(ch.testbed.pathloss.ref_loss_db) << "\n";
-  out << "pathloss_exponent = " << num(ch.testbed.pathloss.exponent) << "\n";
-  out << "min_distance_m = " << num(ch.testbed.pathloss.min_distance_m)
-      << "\n";
-  out << "jammer_power_dbm = " << num(ch.testbed.interferer.tx_power_dbm)
-      << "\n";
-  out << "sidelobe_rejection_db = "
-      << num(ch.testbed.interferer.sidelobe_rejection_db) << "\n";
-  out << "noise_floor_dbm = " << num(ch.testbed.sinr.noise_floor_dbm) << "\n";
-  out << "per_threshold_db = " << num(ch.testbed.sinr.per_threshold_db)
-      << "\n";
-  out << "per_scale_db = " << num(ch.testbed.sinr.per_scale_db) << "\n";
-  out << "loss_floor = " << num(ch.testbed.sinr.floor) << "\n";
-  out << "loss_ceiling = " << num(ch.testbed.sinr.ceiling) << "\n";
-
-  const TopologySpec& topo = spec.topology;
-  out << "\n[topology]\n";
-  out << "n = [";
-  for (std::size_t i = 0; i < topo.n_values.size(); ++i)
-    out << (i > 0 ? ", " : "") << topo.n_values[i];
-  out << "]\n";
-  out << "max_placements = " << topo.max_placements << "\n";
-  out << "cells = [";
-  for (std::size_t i = 0; i < topo.cells.size(); ++i)
-    out << (i > 0 ? ", " : "") << topo.cells[i];
-  out << "]\n";
-  out << "eve_cell = " << topo.eve_cell << "\n";
-  out << "positions = [";
-  for (std::size_t i = 0; i < topo.positions.size(); ++i)
-    out << (i > 0 ? ", " : "") << num(topo.positions[i].x) << ", "
-        << num(topo.positions[i].y);
-  out << "]\n";
-  if (topo.eve_position.has_value())
-    out << "eve_position = [" << num(topo.eve_position->x) << ", "
-        << num(topo.eve_position->y) << "]\n";
-
-  const SessionSpec& s = spec.session;
-  out << "\n[session]\n";
-  out << "x_packets = " << s.x_packets << "\n";
-  out << "payload_bytes = " << s.payload_bytes << "\n";
-  out << "rounds = " << s.rounds << "\n";
-  out << "rotate_alice = " << (s.rotate_alice ? "true" : "false") << "\n";
-  out << "pool = \"" << core::to_string(s.pool) << "\"\n";
-
-  const EstimatorAxis& est = spec.estimator;
-  out << "\n[estimator]\n";
-  out << "series = [";
-  for (std::size_t i = 0; i < est.series.size(); ++i)
-    out << (i > 0 ? ", " : "") << serialize_series_item(est.series[i]);
-  out << "]\n";
-  out << "k_antennas = " << est.k_antennas << "\n";
-  out << "fraction_delta = " << num(est.fraction_delta) << "\n";
-  out << "safety = " << num(est.safety) << "\n";
-
-  out << "\n[sweep]\n";
-  out << "p = [";
-  for (std::size_t i = 0; i < spec.sweep.p_values.size(); ++i)
-    out << (i > 0 ? ", " : "") << num(spec.sweep.p_values[i]);
-  out << "]\n";
-  out << "repeats = " << spec.sweep.repeats << "\n";
-  // Only when set: an absent key axis must serialize to absent keys for
-  // the parse(serialize(s)) == s round trip to hold.
-  if (!spec.sweep.key.empty()) out << "key = " << quote(spec.sweep.key) << "\n";
-  if (!spec.sweep.values.empty()) {
-    out << "values = [";
-    for (std::size_t i = 0; i < spec.sweep.values.size(); ++i)
-      out << (i > 0 ? ", " : "") << num(spec.sweep.values[i]);
-    out << "]\n";
-  }
-
-  out << "\n[output]\n";
-  out << "baseline = \"" << to_string(spec.output.baseline) << "\"\n";
-  out << "metrics = \"" << to_string(spec.output.metrics) << "\"\n";
-  out << "analytic = " << (spec.output.analytic ? "true" : "false") << "\n";
-
-  // [run] only when something is pinned: an absent key must serialize to
-  // an absent key for the parse(serialize(s)) == s round trip to hold.
-  if (spec.run.seed.has_value() || spec.run.threads.has_value()) {
-    out << "\n[run]\n";
-    if (spec.run.seed.has_value()) out << "seed = " << *spec.run.seed << "\n";
-    if (spec.run.threads.has_value())
-      out << "threads = " << *spec.run.threads << "\n";
-  }
-
-  out << "\n[mac]\n";
-  out << "data_rate_bps = " << num(spec.mac.data_rate_bps) << "\n";
-  out << "frame_overhead_s = " << num(spec.mac.per_frame_overhead_s) << "\n";
-  out << "inter_frame_gap_s = " << num(spec.mac.inter_frame_gap_s) << "\n";
-  out << "slot_s = " << num(spec.mac.slot_duration_s) << "\n";
-  return out.str();
+  std::string out;
+  std::string_view section;  // of the last key written
+  for_each_key(spec, [&](std::string_view s, std::string_view key,
+                         const auto& field, Domain domain) {
+    if (domain.optional && !is_set(field)) return;
+    if (s != section) {
+      section = s;
+      out.append("\n[").append(section).append("]\n");
+    }
+    out.append(key).append(" = ").append(text_of(field)).append("\n");
+  });
+  return out;
 }
 
 void apply_override(ScenarioSpec& spec, std::string_view key,
@@ -706,7 +686,14 @@ void apply_override(ScenarioSpec& spec, std::string_view key,
   if (field.empty() || (dot != std::string_view::npos && section.empty()))
     throw SpecError("--set: expected section.key=value, got '" +
                     std::string(key) + "'");
-  set_field(spec, section, field, trim(value));
+  set_key(spec, section, field, trim(value));
+}
+
+void check_keys(const ScenarioSpec& spec) {
+  for_each_key(spec, [](std::string_view section, std::string_view key,
+                        const auto& field, Domain domain) {
+    check(path_of(section, key), field, domain);
+  });
 }
 
 }  // namespace thinair::runtime

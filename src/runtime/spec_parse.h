@@ -16,9 +16,11 @@
 //   [sweep]
 //   p = 0.1:0.9:0.1              # double ranges (inclusive, fixed step)
 //
-// The full grammar — every section, key, value form and default — is
-// documented in docs/scenarios.md and enforced here with line-accurate
+// The full grammar — every section, key, value form, domain and default —
+// is documented in docs/scenarios.md and enforced here with line-accurate
 // error messages ("line 4: channel.p: expected a number, got 'banana'").
+// spec_parse.cpp names each key once, in one list with its field and its
+// domain (the values it may hold), and every function below walks it.
 //
 // serialize_spec is the inverse: it emits every supported key in
 // canonical order, so parse_spec(serialize_spec(s)) == s for every valid
@@ -26,8 +28,11 @@
 // spec doubles as a template listing every knob.
 //
 // apply_override implements `--set section.key=value`: one dotted path
-// assigned onto an existing spec, using the same key table and value
+// assigned onto an existing spec, using the same key list and value
 // syntax as the file format.
+//
+// check_keys holds a spec built in C++ to the domains a spec file meets;
+// compile() calls it.
 
 #include <stdexcept>
 #include <string>
@@ -57,5 +62,10 @@ class SpecError : public std::runtime_error {
 /// path or a malformed value.
 void apply_override(ScenarioSpec& spec, std::string_view key,
                     std::string_view value);
+
+/// Check every key's value against its domain, as parse_spec and
+/// apply_override do. Throws SpecError ("channel.p: 1.5 outside [0, 1]")
+/// for the first key out of its domain.
+void check_keys(const ScenarioSpec& spec);
 
 }  // namespace thinair::runtime

@@ -3,7 +3,8 @@
 # the expected line counts and byte-identical NDJSON at --threads 1 and
 # --threads 4, the retired distributed-sweep and kernel-override surfaces
 # must be rejected with the usage text, an oversized spec must fail at
-# compile time, and output that cannot be written must fail the run.
+# compile time, a value outside its key's domain must fail before any
+# NDJSON line, and output that cannot be written must fail the run.
 #
 #   usage: cli_run_smoke.sh /path/to/thinair
 set -u
@@ -82,6 +83,11 @@ expect_exit 1 "invalid spec:" run fig2 --set sweep.repeats=20000 --limit 1
 # compiler bounds the session sizes.
 expect_exit 1 "invalid spec:" run fig1 --set session.x_packets=4294967296 \
   --limit 1
+
+# A NaN frame gap once ran to exit 0 with "secret_rate_bps":nan in the
+# NDJSON, which is not JSON; every double key must be finite.
+expect_exit 1 "mac.inter_frame_gap_s: nan" run fig2 \
+  --set mac.inter_frame_gap_s=nan --out -
 
 # A full device takes no NDJSON byte: the run must say so and exit 1,
 # whether --out names it or stdout is redirected to it.

@@ -415,14 +415,12 @@ TEST(Registry, BuiltinPlansAreWellFormed) {
 // ------------------------------------------------- end-to-end determinism
 
 TEST(Determinism, TestbedSweepMatchesAcrossThreadCounts) {
-  SessionSpec session;
-  session.x_packets = 45;
-  const Scenario s = compile(ScenarioSpec{}
-                                 .with_name("testbed-sweep")
-                                 .on_testbed()
-                                 .with_n_range(3, 4)
-                                 .with_placement_cap(6)
-                                 .with_session(session));
+  ScenarioSpec spec;
+  spec.name = "testbed-sweep";
+  spec.topology.n_values = {3, 4};
+  spec.topology.max_placements = 6;
+  spec.session.x_packets = 45;
+  const Scenario s = compile(spec);
   const auto summaries = [&s](std::size_t threads) {
     ResultSink sink(s.name, nullptr);
     RunOptions options;

@@ -82,10 +82,10 @@ ScenarioSpec random_spec(std::uint64_t seed) {
   s.description = rnd_string(rng);
 
   // Channel: every model kind, every knob the grammar exposes.
-  const auto& models = channel::channel_model_names();
-  s.channel.model =
-      *channel::channel_model_from_string(models[rng.next_byte() %
-                                                 models.size()]);
+  constexpr channel::ChannelModelKind kModels[] = {
+      channel::ChannelModelKind::kIid, channel::ChannelModelKind::kPerLink,
+      channel::ChannelModelKind::kTestbed};
+  s.channel.model = kModels[rng.next_byte() % std::size(kModels)];
   s.channel.iid_p = rnd_prob(rng);
   s.channel.default_p = rnd_prob(rng);
   const std::size_t n_links = rng.next_byte() % 4;
@@ -139,17 +139,20 @@ ScenarioSpec random_spec(std::uint64_t seed) {
                                  : core::PoolStrategy::kTerminalMds;
 
   // Estimator axis: 1..3 series over every kind, with and without caps.
-  const auto& kinds = core::estimator_kind_names();
+  constexpr core::EstimatorKind kKinds[] = {
+      core::EstimatorKind::kOracle,      core::EstimatorKind::kLeaveOneOut,
+      core::EstimatorKind::kKSubset,     core::EstimatorKind::kFraction,
+      core::EstimatorKind::kLooFraction, core::EstimatorKind::kSlotFraction,
+      core::EstimatorKind::kGeometry};
   s.estimator.series.clear();
   const std::size_t n_series = rnd_int(rng, 1, 3);  // empty is a parse error
   for (std::size_t i = 0; i < n_series; ++i)
     s.estimator.series.push_back(EstimatorSeries{
-        *core::estimator_kind_from_string(
-            kinds[rng.next_byte() % kinds.size()]),
-        rnd_int(rng, 0, 60)});
+        kKinds[rng.next_byte() % std::size(kKinds)], rnd_int(rng, 0, 60)});
   s.estimator.k_antennas = rnd_int(rng, 1, 4);
   s.estimator.fraction_delta = rnd_prob(rng);
-  s.estimator.safety = rnd_prob(rng);
+  // The safety margin's domain is (0, 1].
+  s.estimator.safety = static_cast<double>(1 + rng.next_byte() % 64) / 64.0;
 
   // Sweep / output / mac.
   const std::size_t n_p = rng.next_byte() % 6;

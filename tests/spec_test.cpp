@@ -1,33 +1,81 @@
 // The declarative scenario layer: spec parsing and serialisation
-// (round-trip guarantee, golden error messages), dotted-path overrides,
-// compile() validation, and the determinism contract for spec-defined
-// scenarios (byte-identical NDJSON at 1 vs 8 threads).
+// (round-trip guarantee, golden error messages, pinned describe output),
+// dotted-path overrides, key domains, compile() validation, the key
+// tables of docs/scenarios.md, and the determinism contract for
+// spec-defined scenarios (byte-identical NDJSON at 1 vs 8 threads).
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "runtime/engine.h"
 #include "runtime/scenarios.h"
 #include "runtime/spec_parse.h"
+#include "util/sha256.h"
 
 namespace thinair::runtime {
 namespace {
 
 // A placement-free spec exercising most knobs; cheap enough to execute.
 ScenarioSpec small_iid_spec() {
-  SessionSpec session;
-  session.x_packets = 40;
-  session.rounds = 2;
-  return ScenarioSpec{}
-      .with_name("small-iid")
-      .with_description("iid smoke sweep")
-      .on_iid(0.3)
-      .sweep_p({0.2, 0.5})
-      .with_n({2, 3})
-      .with_session(session)
-      .with_estimator(core::EstimatorKind::kLooFraction)
-      .with_repeats(2);
+  ScenarioSpec spec;
+  spec.name = "small-iid";
+  spec.description = "iid smoke sweep";
+  spec.channel.model = channel::ChannelModelKind::kIid;
+  spec.channel.iid_p = 0.3;
+  spec.sweep.p_values = {0.2, 0.5};
+  spec.topology.n_values = {2, 3};
+  spec.session.x_packets = 40;
+  spec.session.rounds = 2;
+  spec.estimator.series = {{core::EstimatorKind::kLooFraction}};
+  spec.sweep.repeats = 2;
+  return spec;
+}
+
+// A testbed spec with an explicit placement of two terminals.
+ScenarioSpec two_cell_spec(std::string name) {
+  ScenarioSpec spec;
+  spec.name = std::move(name);
+  spec.topology.cells = {0, 4};
+  spec.topology.eve_cell = 8;
+  return spec;
+}
+
+ScenarioSpec repeated(ScenarioSpec spec, std::size_t repeats) {
+  spec.sweep.repeats = repeats;
+  return spec;
+}
+
+ScenarioSpec keyed(ScenarioSpec spec, std::string key,
+                   std::vector<double> values) {
+  spec.sweep.key = std::move(key);
+  spec.sweep.values = std::move(values);
+  return spec;
+}
+
+/// (dotted path, value text) of every "key = value" line of describe
+/// output, in order.
+std::vector<std::pair<std::string, std::string>> described_keys(
+    const std::string& text) {
+  std::vector<std::pair<std::string, std::string>> keys;
+  std::string section;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) continue;
+    if (line.front() == '[') {
+      section = line.substr(1, line.size() - 2) + ".";
+      continue;
+    }
+    const std::size_t eq = line.find(" = ");
+    keys.emplace_back(section + line.substr(0, eq), line.substr(eq + 3));
+  }
+  return keys;
 }
 
 // ------------------------------------------------------------ round trips
@@ -51,22 +99,19 @@ TEST(SpecParse, FeaturefulSpecRoundTrips) {
   spec.mac.data_rate_bps = 2e6;
   EXPECT_EQ(parse_spec(serialize_spec(spec)), spec);
 
-  ScenarioSpec testbed = ScenarioSpec{}
-                             .with_name("cells")
-                             .on_testbed()
-                             .at_cells({0, 4}, 8)
-                             .with_estimator(core::EstimatorKind::kGeometry);
+  ScenarioSpec testbed = two_cell_spec("cells");
   testbed.topology.positions = {{0.5, 0.5}, {2.0, 1.6}};
   testbed.topology.eve_position = channel::Vec2{3.0, 3.0};
   testbed.channel.testbed.interference_enabled = false;
   EXPECT_EQ(parse_spec(serialize_spec(testbed)), testbed);
 
-  ScenarioSpec per_link =
-      ScenarioSpec{}
-          .with_name("links")
-          .on_per_link(0.1, {{0, 1, 0.5}, {1, 0, 0.25}})
-          .with_n({3})
-          .with_estimator(core::EstimatorKind::kLeaveOneOut);
+  ScenarioSpec per_link;
+  per_link.name = "links";
+  per_link.channel.model = channel::ChannelModelKind::kPerLink;
+  per_link.channel.default_p = 0.1;
+  per_link.channel.links = {{0, 1, 0.5}, {1, 0, 0.25}};
+  per_link.topology.n_values = {3};
+  per_link.estimator.series = {{core::EstimatorKind::kLeaveOneOut}};
   EXPECT_EQ(parse_spec(serialize_spec(per_link)), per_link);
 }
 
@@ -116,6 +161,52 @@ TEST(SpecParse, RangeEndpointsClampAndHugeRangesAreRejected) {
     ADD_FAILURE() << "compile accepted 2^32 repeats";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "x: sweep.repeats must be <= 1048576");
+  }
+}
+
+std::string sha256_hex(const std::string& text) {
+  util::Sha256 hash;
+  hash.update(text);
+  return hash.hex();
+}
+
+TEST(SpecParse, DescribeOutputIsPinned) {
+  // SHA-256 of what `thinair describe` prints for each built-in, and for
+  // each examples/specs file parsed and written back, recorded before the
+  // key list replaced the hand-written serializer: a change to a key's
+  // order, text form or default shows here.
+  const std::pair<ScenarioSpec, const char*> builtins[] = {
+      {fig1_spec(),
+       "dfbd5269a96bfb8765d180e78ff02bd7a4edfb604aaf784abac8ca16182a09f8"},
+      {fig2_spec(),
+       "cbee46ac3342fe883d9d509f5a33f7a4f957fe8eb2cb707472e462590fbe0afd"},
+      {headline_spec(),
+       "6b0f18b6dee1c3cb5be5fa582c86ab04d697d2a31838f7b6731048f4f50bbd5a"},
+  };
+  for (const auto& [spec, digest] : builtins)
+    EXPECT_EQ(sha256_hex(serialize_spec(spec)), digest) << spec.name;
+
+  const std::pair<const char*, const char*> files[] = {
+      {"ablation_estimator.toml",
+       "b45a6750764efe339b02486ada40c82f2866a08abdd683f8dd6b2314a2e258eb"},
+      {"ablation_pool.toml",
+       "198375f79d9cca5260c6bd92cafeb711e82e36a2840cba638d3c6bac35fefb4c"},
+      {"ablation_rotation.toml",
+       "68bb3f86ccd283602393ee2887f1eec7d2d78717012c89fd90d82eb578789d2d"},
+      {"explicit_positions.toml",
+       "067de7c12312b29e33f2ae04a719d95d4f09e516c062e7d4924bb76ade4b0a96"},
+      {"fig2_iid.toml",
+       "106055c129a44531329ef2fc0be97750d2e4b5dd45446cdf5393baab2d3f61b8"},
+      {"interference_off.toml",
+       "733d9042580742165d16c5e77a33f5467df976ba820d68ed0bce00d8ebd3e5f8"},
+  };
+  for (const auto& [file, digest] : files) {
+    std::ifstream in(std::string(THINAIR_EXAMPLE_SPECS_DIR) + "/" + file);
+    ASSERT_TRUE(in) << file;
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(sha256_hex(serialize_spec(parse_spec(text.str()))), digest)
+        << file;
   }
 }
 
@@ -237,7 +328,7 @@ TEST(SpecCompile, RejectsInconsistentSpecs) {
 
   ScenarioSpec spec = small_iid_spec();
   spec.estimator.series.clear();
-  expect_compile_error(spec, "estimator.series is empty");
+  expect_compile_error(spec, "estimator.series: needs at least one estimator");
 
   spec = small_iid_spec();
   spec.estimator.series[0].kind = core::EstimatorKind::kGeometry;
@@ -273,24 +364,30 @@ TEST(SpecCompile, RejectsInconsistentSpecs) {
   spec.topology.n_values = {70000};
   expect_compile_error(spec, "must be <= 65534");
 
-  spec = small_iid_spec().on_per_link(1.5, {}).sweep_p({});
-  expect_compile_error(spec, "channel.default_p outside [0, 1]");
-
-  spec = small_iid_spec().on_per_link(0.1, {{0, 1, 2.0}}).sweep_p({});
-  expect_compile_error(spec, "channel.links probability outside [0, 1]");
+  // A spec built in C++ meets the domains a spec file does, with the
+  // same messages after the spec's name.
+  spec = small_iid_spec();
+  spec.channel.model = channel::ChannelModelKind::kPerLink;
+  spec.sweep.p_values.clear();
+  spec.channel.default_p = 1.5;
+  expect_compile_error(spec,
+                       "small-iid: channel.default_p: 1.5 outside [0, 1]");
+  spec.channel.default_p = 0.1;
+  spec.channel.links = {{0, 1, 2.0}};
+  expect_compile_error(spec, "channel.links: 2 outside [0, 1]");
 
   spec = small_iid_spec();
   spec.estimator.k_antennas = 0;
-  expect_compile_error(spec, "estimator.k_antennas must be >= 1");
+  expect_compile_error(spec, "estimator.k_antennas: must be >= 1");
 
   // Non-finite coordinates once compiled, then failed every case with
   // "linear_to_db: non-positive power".
   spec = fig2_spec();
   spec.topology.positions = {{std::nan(""), 1.0}, {6.0, 1.0}};
-  expect_compile_error(spec, "positions and eve_position must be finite");
+  expect_compile_error(spec, "topology.positions: nan is not finite");
   spec = fig2_spec();
   spec.topology.eve_position = channel::Vec2{HUGE_VAL, 2.0};
-  expect_compile_error(spec, "positions and eve_position must be finite");
+  expect_compile_error(spec, "topology.eve_position: inf is not finite");
   // Finite but so far away that the signal underflows to 0 mW: these
   // compiled, then every case failed in TestbedChannel::place. 1e150 m
   // still places.
@@ -308,34 +405,44 @@ TEST(SpecCompile, RejectsInconsistentSpecs) {
 
   // A testbed parameter the channel's constructor rejects: this once
   // compiled, then failed the run with "LogDistancePathLoss:
-  // min_distance_m <= 0".
+  // min_distance_m <= 0". Its domain now refuses it in a file too.
   spec = fig2_spec();
   spec.channel.testbed.pathloss.min_distance_m = 0.0;
-  expect_compile_error(spec, "channel.testbed parameters are invalid");
-  expect_compile_error(
-      parse_spec("name = \"d\"\n[topology]\nn = [3]\n[channel]\n"
-                 "model = \"testbed\"\nmin_distance_m = 0\n"),
-      "min_distance_m <= 0");
+  expect_compile_error(spec, "channel.min_distance_m: 0 outside (0, inf)");
+  expect_parse_error(
+      "name = \"d\"\n[topology]\nn = [3]\n[channel]\n"
+      "model = \"testbed\"\nmin_distance_m = 0\n",
+      "line 6: channel.min_distance_m: 0 outside (0, inf)");
+  // In its domain, but no link can carry a signal: the channel builds,
+  // and placing a node in each cell finds it.
+  spec.channel.testbed.pathloss.min_distance_m = 1e300;
+  expect_compile_error(spec, "channel.testbed parameters are invalid "
+                             "(linear_to_db: non-positive power)");
+  // Each bound in [0, 1], but the loss clamp needs floor <= ceiling.
+  spec = fig2_spec();
+  spec.channel.testbed.sinr.ceiling = 0.0;
+  expect_compile_error(spec,
+                       "channel.loss_floor must be <= channel.loss_ceiling");
 
   // Sizes compile() must refuse before any plan is built. Each of these
   // once compiled, leaving run_scenario to build millions of explicit
   // points or fail with std::bad_alloc.
-  expect_compile_error(fig1_spec().with_repeats(4294967296),
+  expect_compile_error(repeated(fig1_spec(), 4294967296),
                        "sweep.repeats must be <= 1048576");
-  expect_compile_error(headline_spec().with_repeats(4294967296),
+  expect_compile_error(repeated(headline_spec(), 4294967296),
                        "sweep.repeats must be <= 1048576");
   // 567 placement cases x 20000 repeats, each an explicit point.
-  expect_compile_error(fig2_spec().with_repeats(20000),
+  expect_compile_error(repeated(fig2_spec(), 20000),
                        "plan has more than 1048576 cases");
-  expect_compile_error(fig2_spec().with_repeats(200000),
+  expect_compile_error(repeated(fig2_spec(), 200000),
                        "plan has more than 1048576 cases");
-  // One explicit placement, 2 series x 2^20 repeats.
-  expect_compile_error(
-      fig2_spec().at_cells({0, 1, 2}, 8).with_repeats(kMaxSweepValues),
-      "plan has more than 1048576 cases");
+  // One explicit placement, 3 series x 2^20 repeats.
+  spec = repeated(fig2_spec(), kMaxSweepValues);
+  spec.topology.cells = {0, 1, 2};
+  expect_compile_error(spec, "plan has more than 1048576 cases");
   // Each variant is 36 x 20000 = 720000 cases, the keyed plan twice that.
   expect_compile_error(
-      fig1_spec().sweep_key("session.x_packets", {20, 30}).with_repeats(20000),
+      repeated(keyed(fig1_spec(), "session.x_packets", {20, 30}), 20000),
       "plan has more than 1048576 cases");
   // Session sizes: each of these once compiled and then failed in the
   // run with std::bad_alloc.
@@ -351,13 +458,63 @@ TEST(SpecCompile, RejectsInconsistentSpecs) {
   expect_compile_error(spec, "session.rounds must be <= 1048576");
   // A NaN key value compiles to a variant no case can find.
   expect_compile_error(
-      fig1_spec().sweep_key("estimator.safety", {0.5, std::nan("")}),
-      "sweep.values must be finite");
+      keyed(fig1_spec(), "estimator.safety", {0.5, std::nan("")}),
+      "sweep.values: nan is not finite");
 
   // The cap is inclusive, and a placement-free plan is decoded on demand,
   // so its case count is not bounded by it.
-  EXPECT_EQ(compile(fig1_spec().with_repeats(kMaxSweepValues)).plan().size(),
+  EXPECT_EQ(compile(repeated(fig1_spec(), kMaxSweepValues)).plan().size(),
             36 * kMaxSweepValues);
+}
+
+TEST(SpecCompile, NoKeyValueFailsTheRun) {
+  // Every numeric key of each built-in, set to each value a typo or a
+  // script can produce. --set or compile() must refuse the value, or the
+  // first case must run and write finite metrics: a value compile()
+  // accepts must not fail the run or put a non-number in the NDJSON.
+  constexpr const char* kValues[] = {"nan", "inf", "-inf", "-1", "0", "1e300"};
+  std::size_t tries = 0;
+  for (ScenarioSpec base : {fig1_spec(), fig2_spec(), headline_spec()}) {
+    base.run.seed = 1;  // so that describe lists the [run] keys too
+    base.run.threads = 1;
+    for (const auto& [key, text] : described_keys(serialize_spec(base))) {
+      double number = 0.0;
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), number);
+      if (ec != std::errc{} || end != text.data() + text.size()) continue;
+      for (const char* value : kValues) {
+        SCOPED_TRACE(base.name + " --set " + key + "=" + value);
+        ++tries;
+        ScenarioSpec spec = base;
+        try {
+          apply_override(spec, key, value);
+        } catch (const SpecError&) {
+          continue;
+        }
+        Scenario s;
+        try {
+          s = compile(spec);
+        } catch (const std::invalid_argument&) {
+          continue;
+        }
+        RunOptions options;
+        options.threads = 1;
+        options.limit = 1;
+        std::vector<std::pair<CaseSpec, CaseResult>> cases;
+        try {
+          cases = run_scenario_collect(s, options);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "compiled, then the run failed: " << e.what();
+          continue;
+        }
+        ASSERT_EQ(cases.size(), 1u);
+        for (const Metric& m : cases[0].second.metrics)
+          EXPECT_TRUE(std::isfinite(m.value)) << m.name << " = " << m.value;
+      }
+    }
+  }
+  // 29 numeric keys in each built-in.
+  EXPECT_EQ(tries, 3 * 29 * std::size(kValues));
 }
 
 // ------------------------------------------------- compiled scenario shape
@@ -380,7 +537,7 @@ TEST(SpecCompile, PlanAxesMatchTheSpec) {
 // ---------------------------------------------------- sweep.key axis
 
 TEST(SpecParse, KeySweepRoundTrips) {
-  ScenarioSpec spec = small_iid_spec().sweep_key("session.x_packets", {30, 90});
+  ScenarioSpec spec = keyed(small_iid_spec(), "session.x_packets", {30, 90});
   const std::string text = serialize_spec(spec);
   EXPECT_NE(text.find("key = \"session.x_packets\""), std::string::npos);
   EXPECT_NE(text.find("values = [30, 90]"), std::string::npos);
@@ -396,7 +553,7 @@ TEST(SpecCompile, KeySweepTakesIntegerValuesFrom100000Up) {
   // format_double writes 100000 as "1e+05"; an integer key must still
   // read it. 1048576 packets x 64 B is exactly the per-round cap.
   ScenarioSpec spec =
-      fig1_spec().sweep_key("session.x_packets", {100000, 1048576});
+      keyed(fig1_spec(), "session.x_packets", {100000, 1048576});
   spec.session.payload_bytes = 64;
   const Scenario s = compile(spec);
   const SweepPlan plan = s.plan();
@@ -415,7 +572,7 @@ TEST(SpecCompile, KeySweepIsTheSlowestAxisAndAppliesPerValue) {
   // Sweep the group size through the generic axis; the base n list is
   // shadowed by the override, and the group labels prove each variant
   // really ran with its own value.
-  ScenarioSpec spec = small_iid_spec().sweep_key("topology.n", {2, 3});
+  ScenarioSpec spec = keyed(small_iid_spec(), "topology.n", {2, 3});
   spec.topology.n_values = {5};  // replaced per value by the key axis
   spec.sweep.p_values = {0.2};
   spec.sweep.repeats = 1;
@@ -436,12 +593,10 @@ TEST(SpecCompile, KeySweepConcatenatesUnevenVariantGrids) {
   // makes variant grids of 1 and 2 cases. Concatenation must cover both
   // exactly — this is why the key axis compiles to explicit points, not
   // a cartesian prefix.
-  ScenarioSpec spec = ScenarioSpec{}
-                          .with_name("uneven")
-                          .on_testbed()
-                          .with_n({3})
-                          .with_estimator(core::EstimatorKind::kGeometry)
-                          .sweep_key("topology.max_placements", {1, 2});
+  ScenarioSpec spec;
+  spec.name = "uneven";
+  spec.topology.n_values = {3};
+  spec = keyed(spec, "topology.max_placements", {1, 2});
   const SweepPlan plan = compile(spec).plan();
   ASSERT_EQ(plan.size(), 3u);  // cap 1 -> 1 placement, cap 2 -> 2
   EXPECT_EQ(plan.at(0)[0], (Param{"topology.max_placements", 1.0}));
@@ -459,30 +614,26 @@ TEST(SpecCompile, KeySweepRejectsBadAxes) {
   spec.sweep.values = {1, 2};  // key left empty
   expect_compile_error(spec, "sweep.key and sweep.values must be set together");
 
-  spec = small_iid_spec().sweep_key("sweep.repeats", {1, 2});
+  spec = keyed(small_iid_spec(), "sweep.repeats", {1, 2});
   expect_compile_error(spec, "sweep.key cannot target 'sweep.repeats'");
 
-  spec = small_iid_spec().sweep_key("run.seed", {1, 2});
+  spec = keyed(small_iid_spec(), "run.seed", {1, 2});
   expect_compile_error(spec, "sweep.key cannot target 'run.seed'");
 
-  spec = small_iid_spec().sweep_key("session.x_packets", {30, 30});
+  spec = keyed(small_iid_spec(), "session.x_packets", {30, 30});
   expect_compile_error(spec, "sweep.values has duplicate 30");
 
   // A value the key cannot hold fails at compile, with the override
   // machinery's message inside.
-  spec = small_iid_spec().sweep_key("session.x_packets", {90.5});
+  spec = keyed(small_iid_spec(), "session.x_packets", {90.5});
   expect_compile_error(spec, "sweep.key:");
 
-  spec = small_iid_spec().sweep_key("session.banana", {1});
+  spec = keyed(small_iid_spec(), "session.banana", {1});
   expect_compile_error(spec, "unknown key");
 }
 
 TEST(SpecCompile, ExplicitCellsRunEndToEnd) {
-  ScenarioSpec spec = ScenarioSpec{}
-                          .with_name("two-terminals")
-                          .on_testbed()
-                          .at_cells({0, 4}, 8)
-                          .with_estimator(core::EstimatorKind::kGeometry);
+  ScenarioSpec spec = two_cell_spec("two-terminals");
   spec.session.x_packets = 36;
   spec.session.rounds = 1;
   const Scenario s = compile(spec);
@@ -496,9 +647,8 @@ TEST(SpecCompile, ExplicitCellsRunEndToEnd) {
 TEST(SpecCompile, ExplicitPositionsDeriveCells) {
   // Positions only: cells come from the grid, Eve from her coordinates.
   ScenarioSpec spec;
-  spec.with_name("positions")
-      .on_testbed()
-      .with_estimator(core::EstimatorKind::kSlotFraction);
+  spec.name = "positions";
+  spec.estimator.series = {{core::EstimatorKind::kSlotFraction}};
   spec.topology.positions = {{0.5, 0.5}, {3.0, 0.5}, {0.5, 3.0}};
   spec.topology.eve_position = channel::Vec2{3.0, 3.0};
   spec.session.x_packets = 36;
@@ -536,7 +686,7 @@ TEST(SpecDeterminism, KeySweepByteIdenticalAcrossThreadCounts) {
   // The generic axis dispatches per case through per-value variants; the
   // dispatch must not disturb the contract (and the spec, key included,
   // must survive the text round trip first).
-  ScenarioSpec spec = small_iid_spec().sweep_key("session.x_packets", {20, 40});
+  ScenarioSpec spec = keyed(small_iid_spec(), "session.x_packets", {20, 40});
   spec.sweep.p_values = {0.2};
   spec.sweep.repeats = 1;
   const Scenario s = compile(parse_spec(serialize_spec(spec)));
@@ -594,5 +744,51 @@ TEST(BuiltinSpecs, Fig1FirstCasePinned) {
             "\"group_sim\":0.095,\"unicast_analytic\":0.09000000000000001,"
             "\"unicast_sim\":0.08333333333333333}}");
 }
+
+// ------------------------------------------------------ docs key tables
+
+TEST(SpecDocs, EveryKeyHasATableRowAndEveryRowNamesAKey) {
+  // docs/scenarios.md documents the format in one "| key | ..." table
+  // per section. Its rows and the keys describe writes, with every
+  // optional key set, must be the same set.
+  ScenarioSpec spec;
+  spec.topology.eve_position = channel::Vec2{1.0, 1.0};
+  spec.sweep.key = "session.x_packets";
+  spec.sweep.values = {30};
+  spec.run.seed = 1;
+  spec.run.threads = 1;
+  std::set<std::string> keys;
+  for (const auto& [key, text] : described_keys(serialize_spec(spec)))
+    keys.insert(key);
+  ASSERT_EQ(keys.size(), 47u);
+
+  std::ifstream doc(THINAIR_SCENARIOS_DOC);
+  ASSERT_TRUE(doc) << THINAIR_SCENARIOS_DOC;
+  std::set<std::string> rows;
+  std::optional<std::string> section;  // a key table's heading, dotted
+  bool in_table = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.starts_with("#")) {
+      section.reset();
+      if (line == "### Top level") section = "";
+      if (line.starts_with("### `[") && line.ends_with("]`"))
+        section = line.substr(6, line.size() - 8) + ".";
+      in_table = false;
+    } else if (line.starts_with("| key |")) {
+      in_table = section.has_value();
+    } else if (!line.starts_with("|")) {
+      in_table = false;
+    } else if (in_table && line.starts_with("| `")) {
+      const std::size_t end = line.find('`', 3);
+      EXPECT_TRUE(rows.insert(*section + line.substr(3, end - 3)).second)
+          << "two rows for " << line;
+    }
+  }
+  for (const std::string& key : keys)
+    EXPECT_TRUE(rows.contains(key)) << key << " has no row";
+  for (const std::string& row : rows)
+    EXPECT_TRUE(keys.contains(row)) << row << " names no key";
+}
+
 }  // namespace
 }  // namespace thinair::runtime

@@ -20,14 +20,14 @@ using GroupSummary = runtime::ResultSink::GroupSummary;
 // at `cap` placements per n.
 runtime::ScenarioSpec sweep_spec(std::size_t n_min, std::size_t n_max,
                                  std::size_t cap, std::size_t x_packets) {
-  runtime::SessionSpec session;
-  session.x_packets = x_packets;
-  return runtime::ScenarioSpec{}
-      .with_name("testbed-sweep")
-      .on_testbed()
-      .with_n_range(n_min, n_max)
-      .with_placement_cap(cap)
-      .with_session(session);
+  runtime::ScenarioSpec spec;
+  spec.name = "testbed-sweep";
+  spec.topology.n_values.clear();
+  for (std::size_t n = n_min; n <= n_max; ++n)
+    spec.topology.n_values.push_back(n);
+  spec.topology.max_placements = cap;
+  spec.session.x_packets = x_packets;
+  return spec;
 }
 
 // Runs a spec the way `thinair run --spec` does and returns its per-n

@@ -48,13 +48,6 @@ std::optional<runtime::Scenario> resolve_scenario(const SpecArgs& args) {
       return std::nullopt;
     }
     if (args.overrides.empty()) return *registered;
-    if (registered->spec == nullptr) {
-      std::fprintf(stderr,
-                   "scenario '%s' is hand-written (no spec); --set needs a "
-                   "spec-defined scenario\n",
-                   args.scenario.c_str());
-      return std::nullopt;
-    }
     spec = *registered->spec;
   }
 

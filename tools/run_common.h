@@ -24,7 +24,9 @@ struct SpecArgs {
 };
 
 /// Resolve the scenario a SpecArgs names, compiling specs and applying
-/// overrides. Prints the failure to stderr and returns nullopt on error.
+/// overrides. Every scenario `thinair` registers is a compiled spec, so
+/// the result's Scenario::spec is set. Prints the failure to stderr and
+/// returns nullopt on error.
 std::optional<runtime::Scenario> resolve_scenario(const SpecArgs& args);
 
 /// Shared by run/describe: scenario NAME / --spec / --set.

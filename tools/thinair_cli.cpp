@@ -135,11 +135,6 @@ int cmd_describe(int argc, char** argv) {
   const std::optional<runtime::Scenario> scenario =
       tools::resolve_scenario(args);
   if (!scenario.has_value()) return 1;
-  if (scenario->spec == nullptr) {
-    std::fprintf(stderr, "scenario '%s' is hand-written (no spec)\n",
-                 scenario->name.c_str());
-    return 1;
-  }
   std::fputs(runtime::serialize_spec(*scenario->spec).c_str(), stdout);
   return 0;
 }
@@ -148,11 +143,21 @@ int cmd_describe(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
-  runtime::register_builtin_scenarios();
 
   const std::string command = argv[1];
-  if (command == "list") return cmd_list();
   if (command == "kernels") return cmd_kernels();
+  if (command == "serve") {
+    const int rc = tools::cmd_serve(argc - 2, argv + 2);
+    return rc == 2 ? usage(argv[0]) : rc;
+  }
+  if (command == "client") {
+    const int rc = tools::cmd_client(argc - 2, argv + 2);
+    return rc == 2 ? usage(argv[0]) : rc;
+  }
+  // Only the scenario commands read the registry: compiling the built-ins
+  // builds two testbed channels, which a daemon or a client has no use for.
+  runtime::register_builtin_scenarios();
+  if (command == "list") return cmd_list();
   if (command == "describe") {
     const int rc = cmd_describe(argc - 2, argv + 2);
     return rc == 2 ? usage(argv[0]) : rc;
@@ -161,14 +166,6 @@ int main(int argc, char** argv) {
     tools::RunArgs args;
     if (!tools::parse_run_args(argc - 2, argv + 2, args)) return usage(argv[0]);
     const int rc = cmd_run(args);
-    return rc == 2 ? usage(argv[0]) : rc;
-  }
-  if (command == "serve") {
-    const int rc = tools::cmd_serve(argc - 2, argv + 2);
-    return rc == 2 ? usage(argv[0]) : rc;
-  }
-  if (command == "client") {
-    const int rc = tools::cmd_client(argc - 2, argv + 2);
     return rc == 2 ? usage(argv[0]) : rc;
   }
   return usage(argv[0]);
